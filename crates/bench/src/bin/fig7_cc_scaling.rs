@@ -7,7 +7,7 @@
 //! Output: a runtime table per dataset + `fig7_results.json`.
 
 use nwhy_bench::{all_twins, best_of, write_json, HarnessConfig, ScalingCell};
-use nwhy_core::algorithms::{adjoin_cc_afforest, hyper_cc};
+use nwhy_core::algorithms::{adjoin_cc_afforest, hyper_cc_generic};
 use nwhy_core::AdjoinGraph;
 use nwhy_util::pool::with_threads;
 
@@ -35,7 +35,7 @@ fn main() {
         );
         for &t in &threads {
             let t_adjoin = with_threads(t, || best_of(cfg.trials, || adjoin_cc_afforest(&adjoin)));
-            let t_hyper = with_threads(t, || best_of(cfg.trials, || hyper_cc(&h)));
+            let t_hyper = with_threads(t, || best_of(cfg.trials, || hyper_cc_generic(&h)));
             let t_hygra = with_threads(t, || best_of(cfg.trials, || hygra::hygra_cc(&h)));
             println!("{t:>8} {t_adjoin:>14.5} {t_hyper:>14.5} {t_hygra:>14.5}");
             for (alg, secs) in [
@@ -53,7 +53,7 @@ fn main() {
         }
         // correctness cross-check once per dataset
         let a = adjoin_cc_afforest(&adjoin).num_components();
-        let b = hyper_cc(&h).num_components();
+        let b = hyper_cc_generic(&h).num_components();
         let c = hygra::hygra_cc(&h).num_components();
         assert_eq!(a, b, "{}: AdjoinCC vs HyperCC component count", p.name);
         assert_eq!(a, c, "{}: AdjoinCC vs HygraCC component count", p.name);

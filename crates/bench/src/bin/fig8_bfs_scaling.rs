@@ -11,7 +11,7 @@
 //! Output: a runtime table per dataset + `fig8_results.json`.
 
 use nwhy_bench::{all_twins, best_of, write_json, HarnessConfig, ScalingCell};
-use nwhy_core::algorithms::{adjoin_bfs, hyper_bfs_top_down};
+use nwhy_core::algorithms::{adjoin_bfs, hyper_bfs_generic};
 use nwhy_core::{AdjoinGraph, HyperedgeId};
 use nwhy_util::pool::with_threads;
 
@@ -42,8 +42,7 @@ fn main() {
             let t_adjoin = with_threads(t, || {
                 best_of(cfg.trials, || adjoin_bfs(&adjoin, HyperedgeId::new(source)))
             });
-            let t_hyper =
-                with_threads(t, || best_of(cfg.trials, || hyper_bfs_top_down(&h, source)));
+            let t_hyper = with_threads(t, || best_of(cfg.trials, || hyper_bfs_generic(&h, source)));
             let t_hygra = with_threads(t, || best_of(cfg.trials, || hygra::hygra_bfs(&h, source)));
             println!("{t:>8} {t_adjoin:>14.5} {t_hyper:>14.5} {t_hygra:>14.5}");
             for (alg, secs) in [
@@ -61,7 +60,7 @@ fn main() {
         }
         // correctness cross-check once per dataset
         let a = adjoin_bfs(&adjoin, HyperedgeId::new(source));
-        let b = hyper_bfs_top_down(&h, source);
+        let b = hyper_bfs_generic(&h, source);
         let c = hygra::hygra_bfs(&h, source);
         assert_eq!(
             a.edge_levels, b.edge_levels,

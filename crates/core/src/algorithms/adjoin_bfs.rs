@@ -49,7 +49,7 @@ pub fn adjoin_bfs(a: &AdjoinGraph, source: HyperedgeId) -> AdjoinBfsResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::hyper_bfs::hyper_bfs_top_down;
+    use crate::algorithms::hyper_bfs_generic;
     use crate::fixtures::paper_hypergraph;
     use crate::hypergraph::Hypergraph;
     use proptest::prelude::*;
@@ -60,7 +60,7 @@ mod tests {
         let a = AdjoinGraph::from_hypergraph(&h);
         for src in 0..4 {
             let ar = adjoin_bfs(&a, HyperedgeId::new(src));
-            let hr = hyper_bfs_top_down(&h, src);
+            let hr = hyper_bfs_generic(&h, src);
             assert_eq!(ar.edge_levels, hr.edge_levels, "src {src}");
             assert_eq!(ar.node_levels, hr.node_levels, "src {src}");
         }
@@ -117,7 +117,7 @@ mod tests {
             let a = AdjoinGraph::from_hypergraph(&h);
             let src = seed % crate::ids::from_usize(h.num_hyperedges());
             let ar = adjoin_bfs(&a, HyperedgeId::new(src));
-            let hr = hyper_bfs_top_down(&h, src);
+            let hr = hyper_bfs_generic(&h, src);
             prop_assert_eq!(ar.edge_levels, hr.edge_levels);
             prop_assert_eq!(ar.node_levels, hr.node_levels);
         }

@@ -58,7 +58,7 @@ pub fn adjoin_cc_label_propagation(a: &AdjoinGraph) -> AdjoinCcResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::hyper_cc::hyper_cc;
+    use crate::algorithms::hyper_cc_generic;
     use crate::fixtures::paper_hypergraph;
     use crate::hypergraph::Hypergraph;
     use proptest::prelude::*;
@@ -89,7 +89,7 @@ mod tests {
     fn matches_hyper_cc_partition() {
         let h = Hypergraph::from_memberships(&[vec![0, 1], vec![1, 2], vec![3], vec![4, 5]]);
         let a = AdjoinGraph::from_hypergraph(&h);
-        let hr = hyper_cc(&h);
+        let hr = hyper_cc_generic(&h);
         for ar in [adjoin_cc_afforest(&a), adjoin_cc_label_propagation(&a)] {
             assert!(same_partition(
                 &ar.edge_labels,
@@ -122,7 +122,7 @@ mod tests {
         fn prop_adjoin_cc_equals_hyper_cc(ms in arb_memberships()) {
             let h = Hypergraph::from_memberships(&ms);
             let a = AdjoinGraph::from_hypergraph(&h);
-            let hr = hyper_cc(&h);
+            let hr = hyper_cc_generic(&h);
             for ar in [adjoin_cc_afforest(&a), adjoin_cc_label_propagation(&a)] {
                 prop_assert!(same_partition(
                     &ar.edge_labels, &ar.node_labels,

@@ -1,19 +1,12 @@
-//! HyperBFS — breadth-first search on the bi-adjacency representation
-//! (§III-C.1), with top-down and bottom-up variants.
+//! HyperBFS output (§III-C.1).
 //!
-//! A BFS on a hypergraph alternates between the two index sets: a frontier
-//! of hyperedges reaches all incident hypernodes; a frontier of hypernodes
-//! reaches all incident hyperedges. Hyperedges therefore sit at even
-//! levels and hypernodes at odd levels (counting the source hyperedge as
-//! level 0). Exactly as the paper warns, the algorithm must maintain *two*
-//! frontiers, parent arrays, and level arrays — one per index set.
+//! The top-down and bottom-up traversals themselves are
+//! [`hyper_bfs_generic`](super::hyper_bfs_generic) and
+//! [`hyper_bfs_bottom_up`](super::hyper_bfs_bottom_up), which run on
+//! every representation; this module holds the result they share.
 
-use crate::hypergraph::Hypergraph;
-use crate::ids;
 use crate::Id;
 use nwgraph::INVALID_VERTEX;
-use nwhy_util::sync::{AtomicU32, Ordering};
-use rayon::prelude::*;
 
 /// Output of a hypergraph BFS from a source hyperedge.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,183 +41,19 @@ impl HyperBfsResult {
     }
 }
 
-fn init(
-    h: &Hypergraph,
-    source: Id,
-) -> (
-    Vec<AtomicU32>,
-    Vec<AtomicU32>,
-    Vec<AtomicU32>,
-    Vec<AtomicU32>,
-) {
-    let ne = h.num_hyperedges();
-    let nv = h.num_hypernodes();
-    assert!(
-        (source as usize) < ne,
-        "source hyperedge {source} out of range {ne}"
-    );
-    let edge_levels: Vec<AtomicU32> = (0..ne).map(|_| AtomicU32::new(INVALID_VERTEX)).collect();
-    let node_levels: Vec<AtomicU32> = (0..nv).map(|_| AtomicU32::new(INVALID_VERTEX)).collect();
-    let edge_parents: Vec<AtomicU32> = (0..ne).map(|_| AtomicU32::new(INVALID_VERTEX)).collect();
-    let node_parents: Vec<AtomicU32> = (0..nv).map(|_| AtomicU32::new(INVALID_VERTEX)).collect();
-    edge_levels[source as usize].store(0, Ordering::Relaxed);
-    edge_parents[source as usize].store(source, Ordering::Relaxed);
-    (edge_levels, node_levels, edge_parents, node_parents)
-}
-
-fn finish(
-    edge_levels: Vec<AtomicU32>,
-    node_levels: Vec<AtomicU32>,
-    edge_parents: Vec<AtomicU32>,
-    node_parents: Vec<AtomicU32>,
-) -> HyperBfsResult {
-    HyperBfsResult {
-        edge_levels: edge_levels.into_iter().map(AtomicU32::into_inner).collect(),
-        node_levels: node_levels.into_iter().map(AtomicU32::into_inner).collect(),
-        edge_parents: edge_parents
-            .into_iter()
-            .map(AtomicU32::into_inner)
-            .collect(),
-        node_parents: node_parents
-            .into_iter()
-            .map(AtomicU32::into_inner)
-            .collect(),
-    }
-}
-
-/// Expands a frontier across one bipartite direction, claiming unvisited
-/// targets by CAS on their parent slot.
-fn expand(
-    adjacency: &nwgraph::Csr,
-    frontier: &[Id],
-    target_parents: &[AtomicU32],
-    target_levels: &[AtomicU32],
-    depth: u32,
-) -> Vec<Id> {
-    frontier
-        .par_iter()
-        .fold(Vec::new, |mut next, &u| {
-            for &t in adjacency.neighbors(u) {
-                if target_parents[t as usize].load(Ordering::Relaxed) == INVALID_VERTEX
-                    && target_parents[t as usize]
-                        .compare_exchange(INVALID_VERTEX, u, Ordering::AcqRel, Ordering::Relaxed)
-                        .is_ok()
-                {
-                    target_levels[t as usize].store(depth, Ordering::Relaxed);
-                    next.push(t);
-                }
-            }
-            next
-        })
-        .reduce(Vec::new, |mut a, mut b| {
-            a.append(&mut b);
-            a
-        })
-}
-
-/// Top-down HyperBFS from a source hyperedge.
-pub fn hyper_bfs_top_down(h: &Hypergraph, source: Id) -> HyperBfsResult {
-    let _span = nwhy_obs::span("algo.hyper_bfs.top_down");
-    let (edge_levels, node_levels, edge_parents, node_parents) = init(h, source);
-    let mut edge_frontier = vec![source];
-    let mut depth = 0u32;
-    while !edge_frontier.is_empty() {
-        // hyperedges → hypernodes
-        depth += 1;
-        let node_frontier = expand(
-            h.edges(),
-            &edge_frontier,
-            &node_parents,
-            &node_levels,
-            depth,
-        );
-        if node_frontier.is_empty() {
-            break;
-        }
-        // hypernodes → hyperedges
-        depth += 1;
-        edge_frontier = expand(
-            h.nodes(),
-            &node_frontier,
-            &edge_parents,
-            &edge_levels,
-            depth,
-        );
-    }
-    finish(edge_levels, node_levels, edge_parents, node_parents)
-}
-
-/// One bottom-up half-step: every unvisited element of the target side
-/// scans its own incidence list for a frontier member.
-fn expand_bottom_up(
-    reverse_adjacency: &nwgraph::Csr, // target → sources
-    in_frontier: &[bool],
-    target_parents: &[AtomicU32],
-    target_levels: &[AtomicU32],
-    depth: u32,
-) -> Vec<Id> {
-    (0..reverse_adjacency.num_vertices())
-        .into_par_iter()
-        .filter_map(|t| {
-            if target_parents[t].load(Ordering::Relaxed) != INVALID_VERTEX {
-                return None;
-            }
-            for &u in reverse_adjacency.neighbors(ids::from_usize(t)) {
-                if in_frontier[u as usize] {
-                    target_parents[t].store(u, Ordering::Relaxed);
-                    target_levels[t].store(depth, Ordering::Relaxed);
-                    return Some(ids::from_usize(t));
-                }
-            }
-            None
-        })
-        .collect()
-}
-
-/// Bottom-up HyperBFS from a source hyperedge: each half-step is a pull
-/// over the unvisited side. Produces the same levels as
-/// [`hyper_bfs_top_down`].
-pub fn hyper_bfs_bottom_up(h: &Hypergraph, source: Id) -> HyperBfsResult {
-    let _span = nwhy_obs::span("algo.hyper_bfs.bottom_up");
-    let (edge_levels, node_levels, edge_parents, node_parents) = init(h, source);
-    let ne = h.num_hyperedges();
-    let nv = h.num_hypernodes();
-    let mut edge_frontier = vec![source];
-    let mut depth = 0u32;
-    while !edge_frontier.is_empty() {
-        // hyperedges → hypernodes, pulled from the node side: a node joins
-        // if any of its hyperedges is in the frontier.
-        let mut edge_in = vec![false; ne];
-        for &e in &edge_frontier {
-            edge_in[e as usize] = true;
-        }
-        depth += 1;
-        let node_frontier =
-            expand_bottom_up(h.nodes(), &edge_in, &node_parents, &node_levels, depth);
-        if node_frontier.is_empty() {
-            break;
-        }
-        let mut node_in = vec![false; nv];
-        for &v in &node_frontier {
-            node_in[v as usize] = true;
-        }
-        depth += 1;
-        edge_frontier = expand_bottom_up(h.edges(), &node_in, &edge_parents, &edge_levels, depth);
-    }
-    finish(edge_levels, node_levels, edge_parents, node_parents)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::{hyper_bfs_bottom_up, hyper_bfs_generic};
     use crate::fixtures::paper_hypergraph;
     use crate::hypergraph::Hypergraph;
+    use crate::ids;
     use proptest::prelude::*;
 
     #[test]
     fn fixture_levels_from_e0() {
         let h = paper_hypergraph();
-        let r = hyper_bfs_top_down(&h, 0);
+        let r = hyper_bfs_generic(&h, 0);
         // e0 = {0,1,2,3} at level 0; its nodes at level 1
         assert_eq!(r.edge_levels[0], 0);
         for v in [0u32, 1, 2, 3] {
@@ -246,7 +75,7 @@ mod tests {
     fn top_down_and_bottom_up_agree() {
         let h = paper_hypergraph();
         for src in 0..4 {
-            let td = hyper_bfs_top_down(&h, src);
+            let td = hyper_bfs_generic(&h, src);
             let bu = hyper_bfs_bottom_up(&h, src);
             assert_eq!(td.edge_levels, bu.edge_levels, "src {src}");
             assert_eq!(td.node_levels, bu.node_levels, "src {src}");
@@ -256,19 +85,20 @@ mod tests {
     #[test]
     fn parents_are_cross_type() {
         let h = paper_hypergraph();
-        let r = hyper_bfs_top_down(&h, 0);
-        // node parents are hyperedges containing the node
-        for v in 0..9u32 {
-            let p = r.node_parents[v as usize];
-            if p != INVALID_VERTEX {
-                assert!(h.edge_members(p).contains(&v), "node {v} parent {p}");
+        for r in [hyper_bfs_generic(&h, 0), hyper_bfs_bottom_up(&h, 0)] {
+            // node parents are hyperedges containing the node
+            for v in 0..9u32 {
+                let p = r.node_parents[v as usize];
+                if p != INVALID_VERTEX {
+                    assert!(h.edge_members(p).contains(&v), "node {v} parent {p}");
+                }
             }
-        }
-        // edge parents (except source) are member nodes
-        for e in 1..4u32 {
-            let p = r.edge_parents[e as usize];
-            if p != INVALID_VERTEX {
-                assert!(h.edge_members(e).contains(&p), "edge {e} parent {p}");
+            // edge parents (except source) are member nodes
+            for e in 1..4u32 {
+                let p = r.edge_parents[e as usize];
+                if p != INVALID_VERTEX {
+                    assert!(h.edge_members(e).contains(&p), "edge {e} parent {p}");
+                }
             }
         }
     }
@@ -276,7 +106,7 @@ mod tests {
     #[test]
     fn disconnected_parts_unreached() {
         let h = Hypergraph::from_memberships(&[vec![0, 1], vec![2, 3]]);
-        let r = hyper_bfs_top_down(&h, 0);
+        let r = hyper_bfs_generic(&h, 0);
         assert_eq!(r.edge_levels[1], INVALID_VERTEX);
         assert_eq!(r.node_levels[2], INVALID_VERTEX);
         assert_eq!(r.edges_reached(), 1);
@@ -286,7 +116,7 @@ mod tests {
     #[test]
     fn empty_hyperedge_source() {
         let h = Hypergraph::from_memberships(&[vec![], vec![0]]);
-        let r = hyper_bfs_top_down(&h, 0);
+        let r = hyper_bfs_generic(&h, 0);
         assert_eq!(r.edges_reached(), 1);
         assert_eq!(r.nodes_reached(), 0);
     }
@@ -295,13 +125,13 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn bad_source_panics() {
         let h = paper_hypergraph();
-        hyper_bfs_top_down(&h, 9);
+        hyper_bfs_generic(&h, 9);
     }
 
     #[test]
     fn level_parity_invariant() {
         let h = paper_hypergraph();
-        let r = hyper_bfs_top_down(&h, 2);
+        let r = hyper_bfs_generic(&h, 2);
         for &l in &r.edge_levels {
             if l != INVALID_VERTEX {
                 assert_eq!(l % 2, 0, "hyperedge at odd level");
@@ -325,7 +155,7 @@ mod tests {
         fn prop_variants_agree(ms in arb_memberships(), src_seed in 0u32..100) {
             let h = Hypergraph::from_memberships(&ms);
             let src = src_seed % ids::from_usize(h.num_hyperedges());
-            let td = hyper_bfs_top_down(&h, src);
+            let td = hyper_bfs_generic(&h, src);
             let bu = hyper_bfs_bottom_up(&h, src);
             prop_assert_eq!(td.edge_levels, bu.edge_levels);
             prop_assert_eq!(td.node_levels, bu.node_levels);

@@ -1,21 +1,10 @@
-//! HyperCC — connected components on the bi-adjacency representation via
-//! minimum-label propagation (§III-C.1; Orzan / Yan et al.).
+//! HyperCC output (§III-C.1).
 //!
-//! A hyperedge and a hypernode are connected when incident; two
-//! hypernodes are connected when they share a hyperedge. Labels live in a
-//! combined space (`hyperedge e ↦ e`, `hypernode v ↦ n_e + v`) so every
-//! initial label is distinct; rounds of parallel min-exchange across the
-//! incidence lists converge to per-component minima. Because hyperedge IDs
-//! sit below hypernode IDs, every final label is the smallest *hyperedge*
-//! ID of the component (or the node's own shifted ID for isolated
-//! hypernodes).
+//! The label-propagation kernel itself is
+//! [`hyper_cc_generic`](super::hyper_cc_generic), which runs on every
+//! representation; this module holds its result.
 
-use crate::hypergraph::Hypergraph;
-use crate::ids::{self, AdjoinId, HypernodeId};
 use crate::Id;
-use nwhy_util::atomics::atomic_min_u32;
-use nwhy_util::sync::{AtomicBool, AtomicU32, Ordering};
-use rayon::prelude::*;
 
 /// Component labels for both index sets. Two entities (of either kind)
 /// are in the same hypergraph component iff their labels are equal.
@@ -43,52 +32,19 @@ impl HyperCcResult {
     }
 }
 
-/// Label-propagation HyperCC.
-pub fn hyper_cc(h: &Hypergraph) -> HyperCcResult {
-    let _span = nwhy_obs::span("algo.hyper_cc");
-    let ne = h.num_hyperedges();
-    let nv = h.num_hypernodes();
-    let edge_labels: Vec<AtomicU32> = (0..ids::from_usize(ne)).map(AtomicU32::new).collect();
-    let node_labels: Vec<AtomicU32> = (0..ids::from_usize(nv))
-        .map(|v| AtomicU32::new(AdjoinId::from_node(HypernodeId::new(v), ne).raw()))
-        .collect();
-
-    let changed = AtomicBool::new(true);
-    while changed.swap(false, Ordering::Relaxed) {
-        // Push hyperedge labels to incident hypernodes and pull back —
-        // one round touches every incidence twice, the two-index-set
-        // bookkeeping the paper describes.
-        (0..ne).into_par_iter().for_each(|e| {
-            let le = edge_labels[e].load(Ordering::Relaxed);
-            for &v in h.edge_members(ids::from_usize(e)) {
-                if atomic_min_u32(&node_labels[v as usize], le) {
-                    changed.store(true, Ordering::Relaxed);
-                }
-                let lv = node_labels[v as usize].load(Ordering::Relaxed);
-                if atomic_min_u32(&edge_labels[e], lv) {
-                    changed.store(true, Ordering::Relaxed);
-                }
-            }
-        });
-    }
-
-    HyperCcResult {
-        edge_labels: edge_labels.into_iter().map(AtomicU32::into_inner).collect(),
-        node_labels: node_labels.into_iter().map(AtomicU32::into_inner).collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::hyper_cc_generic;
     use crate::fixtures::paper_hypergraph;
     use crate::hypergraph::Hypergraph;
+    use crate::ids;
     use proptest::prelude::*;
 
     #[test]
     fn fixture_is_one_component() {
         let h = paper_hypergraph();
-        let r = hyper_cc(&h);
+        let r = hyper_cc_generic(&h);
         assert!(r.edge_labels.iter().all(|&l| l == 0));
         assert!(r.node_labels.iter().all(|&l| l == 0));
         assert_eq!(r.num_components(), 1);
@@ -97,7 +53,7 @@ mod tests {
     #[test]
     fn two_components_split_cleanly() {
         let h = Hypergraph::from_memberships(&[vec![0, 1], vec![1, 2], vec![3, 4]]);
-        let r = hyper_cc(&h);
+        let r = hyper_cc_generic(&h);
         assert_eq!(r.edge_labels[0], r.edge_labels[1]);
         assert_ne!(r.edge_labels[0], r.edge_labels[2]);
         assert_eq!(r.node_labels[0], r.node_labels[2]);
@@ -110,7 +66,7 @@ mod tests {
         // node 2 in the ID space but no incidences
         let bel = crate::biedgelist::BiEdgeList::from_incidences(1, 3, vec![(0, 0), (0, 1)]);
         let h = Hypergraph::from_biedgelist(&bel);
-        let r = hyper_cc(&h);
+        let r = hyper_cc_generic(&h);
         assert_eq!(r.node_labels[2], 1 + 2); // ne + v
         assert_eq!(r.num_components(), 2);
     }
@@ -118,7 +74,7 @@ mod tests {
     #[test]
     fn empty_hyperedge_is_own_component() {
         let h = Hypergraph::from_memberships(&[vec![], vec![0, 1]]);
-        let r = hyper_cc(&h);
+        let r = hyper_cc_generic(&h);
         assert_ne!(r.edge_labels[0], r.edge_labels[1]);
         assert_eq!(r.num_components(), 2);
     }
@@ -126,7 +82,7 @@ mod tests {
     #[test]
     fn labels_are_component_minimum_hyperedge() {
         let h = Hypergraph::from_memberships(&[vec![0], vec![0, 1], vec![2], vec![2, 3]]);
-        let r = hyper_cc(&h);
+        let r = hyper_cc_generic(&h);
         // component {e0,e1,v0,v1} labeled 0; {e2,e3,v2,v3} labeled 2
         assert_eq!(r.edge_labels, vec![0, 0, 2, 2]);
         assert_eq!(r.node_labels, vec![0, 0, 2, 2]);
@@ -184,7 +140,7 @@ mod tests {
         #[test]
         fn prop_matches_dfs_partition(ms in arb_memberships()) {
             let h = Hypergraph::from_memberships(&ms);
-            let r = hyper_cc(&h);
+            let r = hyper_cc_generic(&h);
             let (el, nl) = dfs_components(&h);
             // same partition: pairwise equality must agree
             let ne = h.num_hyperedges();

@@ -2,10 +2,13 @@
 //!
 //! Two algorithm families compute *exact* hypergraph metrics:
 //!
-//! - on the **bi-adjacency** (two index sets): [`mod@hyper_bfs`] and
-//!   [`mod@hyper_cc`], which maintain separate frontiers/label arrays for the
-//!   hyperedge and hypernode sides — the bookkeeping burden the paper
-//!   notes as the representation's biggest drawback;
+//! - over **two index sets**, generic over any
+//!   [`HyperAdjacency`](crate::repr::HyperAdjacency): [`mod@generic`]
+//!   holds the one top-down HyperBFS ([`hyper_bfs_generic`]), bottom-up
+//!   HyperBFS ([`hyper_bfs_bottom_up`]) and HyperCC
+//!   ([`hyper_cc_generic`]), which keep separate frontiers/label arrays
+//!   for the hyperedge and hypernode sides; [`mod@hyper_bfs`] and
+//!   [`mod@hyper_cc`] hold their result types;
 //! - on the **adjoin graph** (one shared index set): [`mod@adjoin_bfs`] and
 //!   [`mod@adjoin_cc`], which are plain graph algorithms
 //!   (direction-optimizing BFS; Afforest / label propagation) followed by
@@ -24,11 +27,9 @@ pub mod toplex;
 
 pub use adjoin_bfs::{adjoin_bfs, AdjoinBfsResult};
 pub use adjoin_cc::{adjoin_cc_afforest, adjoin_cc_label_propagation, AdjoinCcResult};
-pub use generic::{
-    hyper_bfs_generic, hyper_bfs_generic_ctx, hyper_cc_generic, hyper_cc_generic_ctx,
-};
-pub use hyper_bfs::{hyper_bfs_bottom_up, hyper_bfs_top_down, HyperBfsResult};
-pub use hyper_cc::{hyper_cc, HyperCcResult};
+pub use generic::{hyper_bfs_bottom_up, hyper_bfs_generic, hyper_cc_generic};
+pub use hyper_bfs::HyperBfsResult;
+pub use hyper_cc::HyperCcResult;
 pub use kcore::{kl_core, node_core_numbers, KLCore};
 pub use s_components::{is_s_connected_online, s_connected_components_online};
 pub use toplex::{toplexes, toplexes_sequential};

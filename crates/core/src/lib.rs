@@ -26,8 +26,11 @@
 //!
 //! # Algorithms (§III-C)
 //!
-//! - Exact, on the bi-adjacency: [`mod@algorithms::hyper_bfs`],
-//!   [`mod@algorithms::hyper_cc`].
+//! - Exact, over both index sets of any representation:
+//!   [`algorithms::hyper_bfs_generic`] (top-down HyperBFS),
+//!   [`algorithms::hyper_bfs_bottom_up`] and
+//!   [`algorithms::hyper_cc_generic`] (HyperCC), one implementation each,
+//!   in [`mod@algorithms::generic`].
 //! - Exact, on the adjoin graph: [`mod@algorithms::adjoin_bfs`],
 //!   [`mod@algorithms::adjoin_cc`].
 //! - [`mod@algorithms::toplex`] — maximal hyperedges (Algorithm 3).

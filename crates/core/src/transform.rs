@@ -236,7 +236,7 @@ mod tests {
         assert_eq!(u.edge_members(1), &[2]);
         assert_eq!(u.edge_members(2), &[2, 3]);
         // the union has one component per operand component
-        let cc = crate::algorithms::hyper_cc::hyper_cc(&u);
+        let cc = crate::algorithms::hyper_cc_generic(&u);
         assert_eq!(cc.num_components(), 2);
     }
 
@@ -254,8 +254,8 @@ mod tests {
         // the surviving edges' component structure over nodes
         let h = paper_hypergraph();
         let (t, _) = restrict_to_toplexes(&h);
-        let before = crate::algorithms::hyper_cc::hyper_cc(&h).num_components();
-        let after = crate::algorithms::hyper_cc::hyper_cc(&t).num_components();
+        let before = crate::algorithms::hyper_cc_generic(&h).num_components();
+        let after = crate::algorithms::hyper_cc_generic(&t).num_components();
         assert_eq!(before, after);
     }
 }

@@ -180,7 +180,7 @@ mod tests {
             p_in: 0.5,
             ..params()
         });
-        let cc = nwhy_core::algorithms::hyper_cc::hyper_cc(&h);
+        let cc = nwhy_core::algorithms::hyper_cc_generic(&h);
         // no label may span two blocks
         for e in 0..160usize {
             for f in 0..160usize {

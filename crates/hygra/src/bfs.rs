@@ -59,20 +59,6 @@ pub fn hygra_bfs(h: &Hypergraph, source: Id) -> HygraBfsResult {
     hygra_bfs_with_mode(h, source, Mode::ForceSparse)
 }
 
-/// [`hygra_bfs_with_mode`] attributed to a request: when `ctx` is
-/// `Some`, the traversal runs with it entered, so the `hygra.bfs` span
-/// and the driver loop's counter bumps tag their flight events with the
-/// request id.
-pub fn hygra_bfs_ctx(
-    h: &Hypergraph,
-    source: Id,
-    mode: Mode,
-    ctx: Option<nwhy_obs::RequestCtx>,
-) -> HygraBfsResult {
-    let _ctx = ctx.map(nwhy_obs::RequestCtx::enter);
-    hygra_bfs_with_mode(h, source, mode)
-}
-
 /// HygraBFS with an explicit engine mode (the ablation benches compare
 /// sparse-only against the auto direction heuristic).
 pub fn hygra_bfs_with_mode(h: &Hypergraph, source: Id, mode: Mode) -> HygraBfsResult {
@@ -183,7 +169,7 @@ pub fn hygra_bfs_with_mode(h: &Hypergraph, source: Id, mode: Mode) -> HygraBfsRe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nwhy_core::algorithms::hyper_bfs::hyper_bfs_top_down;
+    use nwhy_core::algorithms::hyper_bfs_generic;
     use nwhy_core::fixtures::paper_hypergraph;
 
     #[test]
@@ -191,7 +177,7 @@ mod tests {
         let h = paper_hypergraph();
         for src in 0..4 {
             let hy = hygra_bfs(&h, src);
-            let nw = hyper_bfs_top_down(&h, src);
+            let nw = hyper_bfs_generic(&h, src);
             assert_eq!(hy.edge_levels, nw.edge_levels, "src {src}");
             assert_eq!(hy.node_levels, nw.node_levels, "src {src}");
         }

@@ -13,7 +13,12 @@
 //!   `vertex_map`;
 //! - [`bfs::hygra_bfs`] — the top-down hypergraph BFS the paper compares
 //!   against in Fig. 8;
-//! - [`cc::hygra_cc`] — the label-propagation hypergraph CC of Fig. 7.
+//! - [`cc::hygra_cc`] — the label-propagation hypergraph CC of Fig. 7;
+//! - [`pagerank::hygra_pagerank`] — Hygra's hypergraph PageRank.
+//!
+//! The kernels take no request context: a caller that wants their spans
+//! and counter flushes attributed to a request enters
+//! `nwhy_obs::RequestCtx::enter` around the call.
 //!
 //! Re-implementing the baseline in the same language/runtime as NWHy puts
 //! the Fig. 7–8 comparisons on equal footing (see DESIGN.md's
@@ -36,14 +41,10 @@
 pub mod bfs;
 pub mod cc;
 pub mod engine;
-pub mod kcore;
-pub mod mis;
 pub mod pagerank;
 pub mod subset;
 
-pub use bfs::{hygra_bfs, hygra_bfs_ctx, HygraBfsResult};
-pub use cc::{hygra_cc, hygra_cc_ctx, HygraCcResult};
-pub use kcore::hygra_kcore;
-pub use mis::hygra_mis;
+pub use bfs::{hygra_bfs, HygraBfsResult};
+pub use cc::{hygra_cc, HygraCcResult};
 pub use pagerank::hygra_pagerank;
 pub use subset::VertexSubset;

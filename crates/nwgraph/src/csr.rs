@@ -154,7 +154,10 @@ impl Csr {
                         .copied()
                         .zip(ws[lo..hi].iter().copied())
                         .collect();
-                    zipped.sort_unstable_by_key(|&(t, _)| t);
+                    // The scatter leaves duplicate targets in thread-timing
+                    // order; breaking ties on the weight makes the slice a
+                    // function of the input multiset alone.
+                    zipped.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
                     for (k, (t, w)) in zipped.into_iter().enumerate() {
                         targets[lo + k] = t;
                         ws[lo + k] = w;
@@ -377,6 +380,23 @@ mod tests {
         assert_eq!(g.neighbors(1), &[2]);
         assert_eq!(g.neighbors(2), &[] as &[u32]);
         assert_eq!(g.neighbors(3), &[0]);
+    }
+
+    #[test]
+    fn weighted_duplicates_are_order_independent() {
+        // Duplicate incidences (0, 1) with distinct weights: the built CSR
+        // must not depend on the order the multiset arrives in.
+        let pairs = [(0, 1), (0, 1), (1, 0), (0, 1), (0, 0)];
+        let weights = [3.0, -1.5, 2.0, 0.25, 7.0];
+        let a = Csr::from_pairs(2, 2, &pairs, Some(&weights));
+        let rev_pairs: Vec<_> = pairs.iter().rev().copied().collect();
+        let rev_weights: Vec<_> = weights.iter().rev().copied().collect();
+        let b = Csr::from_pairs(2, 2, &rev_pairs, Some(&rev_weights));
+        assert_eq!(a.offsets(), b.offsets());
+        assert_eq!(a.targets(), b.targets());
+        assert_eq!(a.weights(), b.weights());
+        assert_eq!(a.neighbors(0), &[0, 1, 1, 1]);
+        assert_eq!(a.weights(), Some(&[7.0, -1.5, 0.25, 3.0, 2.0][..]));
     }
 
     #[test]

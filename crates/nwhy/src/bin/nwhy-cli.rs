@@ -63,7 +63,7 @@
 
 use nwhy::core::algorithms::{
     adjoin_bfs, adjoin_cc_afforest, adjoin_cc_label_propagation, hyper_bfs_bottom_up,
-    hyper_bfs_generic, hyper_bfs_top_down, hyper_cc, hyper_cc_generic, toplexes,
+    hyper_bfs_generic, hyper_cc_generic, toplexes,
 };
 use nwhy::core::{
     AdjoinGraph, Algorithm, HyperedgeId, Hypergraph, OverlapPolicy, Relabel, SLineBuilder,
@@ -407,11 +407,11 @@ fn cmd_cc(args: &Args) -> CliResult {
     let n = match (input, algo) {
         // the label-propagation kernel is generic over `HyperAdjacency`,
         // so the default algorithm never materializes a packed input
+        (Input::Memory(h), "hyper") => hyper_cc_generic(&h).num_components(),
         (Input::Packed(c), "hyper") => hyper_cc_generic(&c).num_components(),
         (input, algo) => {
             let h = input.into_memory()?;
             match algo {
-                "hyper" => hyper_cc(&h).num_components(),
                 "adjoin" => adjoin_cc_afforest(&AdjoinGraph::from_hypergraph(&h)).num_components(),
                 "adjoin-lp" => {
                     adjoin_cc_label_propagation(&AdjoinGraph::from_hypergraph(&h)).num_components()
@@ -444,9 +444,16 @@ fn cmd_bfs(args: &Args) -> CliResult {
         )));
     }
     let (edges_reached, nodes_reached, max_level) = match (input, algo) {
-        // the generic top-down kernel serves packed inputs zero-copy
-        (Input::Packed(c), "hyper") => {
-            let r = hyper_bfs_generic(&c, source);
+        // both HyperBFS directions are generic over `HyperAdjacency`, so
+        // they serve packed inputs zero-copy
+        (input, "hyper" | "hyper-bu") => {
+            let bottom_up = algo == "hyper-bu";
+            let r = match &input {
+                Input::Memory(h) if bottom_up => hyper_bfs_bottom_up(h, source),
+                Input::Memory(h) => hyper_bfs_generic(h, source),
+                Input::Packed(c) if bottom_up => hyper_bfs_bottom_up(c, source),
+                Input::Packed(c) => hyper_bfs_generic(c, source),
+            };
             (
                 r.edges_reached(),
                 r.nodes_reached(),
@@ -456,22 +463,6 @@ fn cmd_bfs(args: &Args) -> CliResult {
         (input, algo) => {
             let h = input.into_memory()?;
             match algo {
-                "hyper" => {
-                    let r = hyper_bfs_top_down(&h, source);
-                    (
-                        r.edges_reached(),
-                        r.nodes_reached(),
-                        max_finite(&r.edge_levels),
-                    )
-                }
-                "hyper-bu" => {
-                    let r = hyper_bfs_bottom_up(&h, source);
-                    (
-                        r.edges_reached(),
-                        r.nodes_reached(),
-                        max_finite(&r.edge_levels),
-                    )
-                }
                 "adjoin" => {
                     let r = adjoin_bfs(&AdjoinGraph::from_hypergraph(&h), HyperedgeId::new(source));
                     (

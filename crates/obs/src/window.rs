@@ -235,8 +235,9 @@ pub fn bucket_upper_bound(i: usize) -> u64 {
 
 impl WindowSummary {
     /// The value at quantile `q` in `[0, 1]`, as the inclusive upper
-    /// bound of the pow2 bucket holding that rank (so exact to within
-    /// one bucket). `None` for an empty window.
+    /// bound of the pow2 bucket holding that rank capped at the exact
+    /// max (so exact to within one bucket, and never above the max).
+    /// `None` for an empty window.
     pub fn quantile(&self, q: f64) -> Option<u64> {
         if self.count == 0 {
             return None;
@@ -249,13 +250,10 @@ impl WindowSummary {
         for (i, &n) in self.buckets.iter().enumerate() {
             seen += n;
             if seen >= rank {
-                // The top bucket has no finite upper bound; the exact max
-                // is a tighter honest answer.
-                return Some(if i >= 64 {
-                    self.max
-                } else {
-                    bucket_upper_bound(i)
-                });
+                // No sample exceeds the exact max, so neither may the
+                // answer (this also bounds the top bucket, which has no
+                // finite upper bound).
+                return Some(bucket_upper_bound(i).min(self.max));
             }
         }
         Some(self.max)
@@ -353,8 +351,8 @@ mod tests {
         assert_eq!(m.count, 100);
         assert_eq!(m.p50(), Some(bucket_upper_bound(7)));
         assert_eq!(m.p90(), Some(bucket_upper_bound(7)));
-        assert_eq!(m.p99(), Some(bucket_upper_bound(13)));
-        assert_eq!(m.quantile(1.0), Some(bucket_upper_bound(13)));
+        assert_eq!(m.p99(), Some(5_000));
+        assert_eq!(m.quantile(1.0), Some(5_000));
         assert_eq!(m.max, 5_000);
     }
 

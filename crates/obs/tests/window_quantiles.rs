@@ -105,9 +105,12 @@ proptest! {
                 bucket_of(merged),
                 bucket_of(exact)
             );
-            // The merged answer is the bucket's inclusive upper bound,
-            // so it never under-reports the exact sample.
+            // The merged answer is the bucket's inclusive upper bound
+            // capped at the max, so it never under-reports the exact
+            // sample...
             prop_assert!(merged >= exact || bucket_of(merged) == bucket_of(exact));
+            // ...and never reports more than the exact max.
+            prop_assert!(merged <= m.max);
         }
     }
 

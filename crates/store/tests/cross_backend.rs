@@ -7,7 +7,7 @@
 //! diverge is a codec bug — which is exactly what this test exists to
 //! catch.
 
-use nwhy_core::algorithms::{hyper_bfs_generic, hyper_cc_generic};
+use nwhy_core::algorithms::{hyper_bfs_bottom_up, hyper_bfs_generic, hyper_cc_generic};
 use nwhy_core::{Algorithm, Hypergraph, OverlapPath, OverlapPolicy, SLineBuilder};
 use nwhy_gen::powerlaw::PowerlawParams;
 use nwhy_gen::{powerlaw_hypergraph, uniform_random};
@@ -146,6 +146,15 @@ fn traversals_agree_across_backends() {
         assert_eq!(
             bfs_mem.node_levels, bfs_pak.node_levels,
             "{name}: BFS node levels"
+        );
+        let bu_pak = hyper_bfs_bottom_up(&c, 0);
+        assert_eq!(
+            bu_pak.edge_levels, bfs_pak.edge_levels,
+            "{name}: packed bottom-up vs top-down edge levels"
+        );
+        assert_eq!(
+            bu_pak.node_levels, bfs_pak.node_levels,
+            "{name}: packed bottom-up vs top-down node levels"
         );
         assert_eq!(hyper_cc_generic(&h), hyper_cc_generic(&c), "{name}: CC");
     }

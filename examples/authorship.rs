@@ -15,7 +15,7 @@
 //!
 //! Run with: `cargo run --release -p nwhy --example authorship`
 
-use nwhy::core::algorithms::{adjoin_cc_afforest, hyper_cc, toplexes};
+use nwhy::core::algorithms::{adjoin_cc_afforest, hyper_cc_generic, toplexes};
 use nwhy::core::AdjoinGraph;
 use nwhy::gen::communities::{planted_communities, CommunityParams};
 use nwhy::hygra::hygra_cc;
@@ -39,7 +39,7 @@ fn main() {
     );
 
     // --- 1. exact components, three ways --------------------------------
-    let exact = hyper_cc(&h);
+    let exact = hyper_cc_generic(&h);
     let adjoin = AdjoinGraph::from_hypergraph(&h);
     let via_adjoin = adjoin_cc_afforest(&adjoin);
     let via_hygra = hygra_cc(&h);

@@ -14,7 +14,7 @@
 //!
 //! Run with: `cargo run --release -p nwhy --example communities`
 
-use nwhy::core::algorithms::{adjoin_bfs, hyper_bfs_top_down};
+use nwhy::core::algorithms::{adjoin_bfs, hyper_bfs_generic};
 use nwhy::core::clique::{clique_expansion, clique_expansion_work};
 use nwhy::core::{AdjoinGraph, HyperedgeId};
 use nwhy::gen::profiles::profile_by_name;
@@ -40,7 +40,7 @@ fn main() {
         .expect("non-empty");
     println!("\nBFS from the largest community (hyperedge {source}):");
 
-    let hyper = hyper_bfs_top_down(&h, source);
+    let hyper = hyper_bfs_generic(&h, source);
     println!(
         "  HyperBFS  (bi-adjacency):  reached {} communities, {} members",
         hyper.edges_reached(),

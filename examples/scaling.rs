@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release -p nwhy --example scaling`
 
-use nwhy::core::algorithms::{adjoin_bfs, adjoin_cc_afforest, hyper_bfs_top_down, hyper_cc};
+use nwhy::core::algorithms::{adjoin_bfs, adjoin_cc_afforest, hyper_bfs_generic, hyper_cc_generic};
 use nwhy::core::{AdjoinGraph, HyperedgeId};
 use nwhy::gen::profiles::profile_by_name;
 use nwhy::hygra::{hygra_bfs, hygra_cc};
@@ -31,10 +31,10 @@ fn main() {
         "threads", "HyperCC", "AdjoinCC", "HygraCC", "HyperBFS", "AdjoinBFS", "HygraBFS"
     );
     for t in thread_sweep(max_threads()) {
-        let (cc_h, s1) = with_threads(t, || time(|| hyper_cc(&h)));
+        let (cc_h, s1) = with_threads(t, || time(|| hyper_cc_generic(&h)));
         let (cc_a, s2) = with_threads(t, || time(|| adjoin_cc_afforest(&adjoin)));
         let (cc_g, s3) = with_threads(t, || time(|| hygra_cc(&h)));
-        let (bfs_h, s4) = with_threads(t, || time(|| hyper_bfs_top_down(&h, source)));
+        let (bfs_h, s4) = with_threads(t, || time(|| hyper_bfs_generic(&h, source)));
         let (bfs_a, s5) =
             with_threads(t, || time(|| adjoin_bfs(&adjoin, HyperedgeId::new(source))));
         let (bfs_g, s6) = with_threads(t, || time(|| hygra_bfs(&h, source)));

@@ -8,7 +8,7 @@
 
 use nwhy::core::algorithms::{
     adjoin_bfs, adjoin_cc_afforest, adjoin_cc_label_propagation, hyper_bfs_bottom_up,
-    hyper_bfs_top_down, hyper_cc,
+    hyper_bfs_generic, hyper_cc_generic,
 };
 use nwhy::core::slinegraph::queue_single::queue_hashmap;
 use nwhy::core::slinegraph::queue_two_phase::queue_intersection;
@@ -34,7 +34,7 @@ fn bfs_agrees_across_representations_and_frameworks() {
         let src = (0..nwhy::core::ids::from_usize(h.num_hyperedges()))
             .max_by_key(|&e| h.edge_degree(e))
             .unwrap();
-        let td = hyper_bfs_top_down(&h, src);
+        let td = hyper_bfs_generic(&h, src);
         let bu = hyper_bfs_bottom_up(&h, src);
         let ad = adjoin_bfs(&a, HyperedgeId::new(src));
         let hy = hygra::hygra_bfs(&h, src);
@@ -56,7 +56,7 @@ fn bfs_agrees_across_representations_and_frameworks() {
 fn cc_agrees_across_representations_and_frameworks() {
     for (name, h) in twins() {
         let a = AdjoinGraph::from_hypergraph(&h);
-        let exact = hyper_cc(&h);
+        let exact = hyper_cc_generic(&h);
         let aff = adjoin_cc_afforest(&a);
         let lp = adjoin_cc_label_propagation(&a);
         let hy = hygra::hygra_cc(&h);
@@ -174,7 +174,7 @@ fn builder_agrees_across_representations_for_every_algorithm() {
 fn adjoin_cc_partition_matches_bipartite_partition() {
     for (name, h) in twins().into_iter().take(3) {
         let a = AdjoinGraph::from_hypergraph(&h);
-        let exact = hyper_cc(&h);
+        let exact = hyper_cc_generic(&h);
         let aff = adjoin_cc_afforest(&a);
         // same-component relation must agree on a sample of hyperedge pairs
         let ne = h.num_hyperedges();

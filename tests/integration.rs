@@ -4,7 +4,7 @@
 //! representations, which feed `nwgraph` algorithms through the session
 //! API — the full pipeline a downstream user runs.
 
-use nwhy::core::algorithms::{adjoin_bfs, adjoin_cc_afforest, hyper_bfs_top_down, hyper_cc};
+use nwhy::core::algorithms::{adjoin_bfs, adjoin_cc_afforest, hyper_bfs_generic, hyper_cc_generic};
 use nwhy::core::fixtures::{paper_hypergraph, paper_slinegraph_edges};
 use nwhy::core::{AdjoinGraph, HyperedgeId};
 use nwhy::io::{read_adjoin, read_hyperedge_list, read_matrix_market, write_matrix_market};
@@ -40,7 +40,7 @@ fn adjoin_reader_matches_biadjacency_reader() {
     assert_eq!(a_read.to_hypergraph(), h_read);
 
     // exact algorithms agree between the two paths
-    let hr = hyper_bfs_top_down(&h_read, 0);
+    let hr = hyper_bfs_generic(&h_read, 0);
     let ar = adjoin_bfs(&a_read, HyperedgeId::new(0));
     assert_eq!(hr.edge_levels, ar.edge_levels);
     assert_eq!(hr.node_levels, ar.node_levels);
@@ -77,7 +77,7 @@ fn generated_dataset_full_pipeline() {
     assert_eq!(h, h2);
 
     let a = AdjoinGraph::from_hypergraph(&h2);
-    let cc_bi = hyper_cc(&h2);
+    let cc_bi = hyper_cc_generic(&h2);
     let cc_ad = adjoin_cc_afforest(&a);
     assert_eq!(cc_bi.num_components(), cc_ad.num_components());
 }

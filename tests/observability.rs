@@ -33,16 +33,17 @@ fn concurrent_queries_partition_flight_events_by_request_id() {
             // Scoped style: the ctx wraps the whole query sequence.
             hg.with_ctx(bfs_ctx, |hg| {
                 for _ in 0..10 {
-                    let r = hygra::hygra_bfs_ctx(hg.hypergraph(), 0, Mode::ForceSparse, None);
+                    let r = hygra::bfs::hygra_bfs_with_mode(hg.hypergraph(), 0, Mode::ForceSparse);
                     assert_eq!(r.edge_levels[0], 0);
                 }
             });
         });
         scope.spawn(move || {
-            // Per-call style: the ctx is handed to each kernel; both
-            // styles must attribute identically.
+            // Per-call style: the ctx is entered around each kernel
+            // call; both styles must attribute identically.
             for _ in 0..10 {
-                let r = hygra::hygra_cc_ctx(hg.hypergraph(), Some(cc_ctx));
+                let _entered = cc_ctx.enter();
+                let r = hygra::hygra_cc(hg.hypergraph());
                 assert_eq!(r.num_components(), 1);
             }
         });
