@@ -15,7 +15,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hygra::bfs::hygra_bfs_with_mode;
 use hygra::engine::Mode;
 use nwgraph::algorithms::bfs::{bfs_bottom_up, bfs_direction_optimizing, bfs_top_down};
-use nwhy_core::slinegraph::queue_single::{queue_hashmap, queue_hashmap_dynamic};
+use nwhy_core::slinegraph::queue_single::queue_hashmap;
 use nwhy_core::slinegraph::queue_two_phase::{candidate_pairs, queue_intersection};
 use nwhy_core::{AdjoinGraph, Algorithm, BuildOptions, Relabel, SLineBuilder};
 use nwhy_gen::profiles::profile_by_name;
@@ -149,8 +149,8 @@ fn bench_hygra_modes(c: &mut Criterion) {
 }
 
 fn bench_scheduling(c: &mut Criterion) {
-    // static blocked vs static cyclic vs dynamic chunk-stealing drain of
-    // the Algorithm 1 work queue on a skewed twin
+    // static blocked vs static cyclic drain of the Algorithm 1 work
+    // queue on a skewed twin
     let mut group = c.benchmark_group("ablation_scheduling");
     group.sample_size(10);
     let h = profile_by_name("Orkut-group").unwrap().generate(SCALE, 42);
@@ -174,9 +174,6 @@ fn bench_scheduling(c: &mut Criterion) {
                 Strategy::Cyclic { num_bins: 0 },
             ))
         })
-    });
-    group.bench_function("dynamic-chunks", |b| {
-        b.iter(|| black_box(queue_hashmap_dynamic(&h, &queue, 2)))
     });
     group.finish();
 }

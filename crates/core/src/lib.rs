@@ -18,7 +18,7 @@
 //! 3. **Clique expansion** ([`clique::clique_expansion`]) — each hyperedge
 //!    becomes a clique over its hypernodes.
 //! 4. **s-line graphs** ([`slinegraph`]) — hyperedges become vertices;
-//!    `{e, f}` is an edge iff `|e ∩ f| ≥ s`. Seven construction algorithms
+//!    `{e, f}` is an edge iff `|e ∩ f| ≥ s`. Six construction algorithms
 //!    are provided, including the paper's two new queue-based ones
 //!    (Algorithms 1 and 2). All of them are generic over the
 //!    [`repr::HyperAdjacency`] trait and are driven through the fluent

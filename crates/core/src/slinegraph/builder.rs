@@ -167,10 +167,6 @@ impl<'a, A: HyperAdjacency + ?Sized> SLineBuilder<'a, A> {
         )))
     }
 
-    /// The canonical s-line edge set, in original hyperedge IDs.
-    ///
-    /// # Panics
-    /// Panics if `s == 0`.
     /// The algorithm this build will run: the planner's pick under
     /// [`SLineBuilder::auto`], the configured one otherwise. Exposed so
     /// callers (the CLI, benches) can report the decision.
@@ -183,6 +179,10 @@ impl<'a, A: HyperAdjacency + ?Sized> SLineBuilder<'a, A> {
         }
     }
 
+    /// The canonical s-line edge set, in original hyperedge IDs.
+    ///
+    /// # Panics
+    /// Panics if `s == 0`.
     #[must_use]
     pub fn edges(&self) -> Vec<(Id, Id)> {
         assert!(self.s >= 1, "s must be at least 1");
@@ -341,7 +341,7 @@ pub(crate) fn dispatch<A: HyperAdjacency + ?Sized>(
     strategy: Strategy,
     overlap: OverlapPolicy,
 ) -> Vec<(Id, Id)> {
-    use super::{hashmap, intersection, naive, pair_sort, queue_single, queue_two_phase};
+    use super::{hashmap, intersection, naive, queue_single, queue_two_phase};
     match algo {
         Algorithm::Naive => naive::naive(h, s, strategy),
         Algorithm::Intersection => intersection::intersection_with(h, s, strategy, overlap),
@@ -354,7 +354,6 @@ pub(crate) fn dispatch<A: HyperAdjacency + ?Sized>(
             let queue: Vec<Id> = (0..ids::from_usize(h.num_hyperedges())).collect();
             queue_two_phase::queue_intersection_with(h, &queue, s, strategy, overlap)
         }
-        Algorithm::PairSort => pair_sort::pair_sort(h, s),
     }
 }
 
@@ -472,12 +471,13 @@ mod tests {
     #[test]
     fn jaccard_terminal_matches_direct_computation() {
         let h = paper_hypergraph();
-        let direct = weighted::slinegraph_jaccard_edges(&h, 1, Strategy::AUTO);
         let built = SLineBuilder::new(&h).s(1).jaccard_edges();
-        assert_eq!(built.len(), direct.len());
-        for ((a1, b1, j1), (a2, b2, j2)) in built.iter().zip(&direct) {
-            assert_eq!((a1, b1), (a2, b2));
-            assert!((j1 - j2).abs() < 1e-12);
+        let weighted = weighted::slinegraph_weighted_edges(&h, 1, Strategy::AUTO);
+        assert_eq!(built.len(), weighted.len());
+        for ((a1, b1, j), &(a2, b2, o)) in built.iter().zip(&weighted) {
+            assert_eq!((a1, b1), (&a2, &b2));
+            let union = h.edge_degree(a2) + h.edge_degree(b2) - o as usize;
+            assert!((j - f64::from(o) / union as f64).abs() < 1e-12);
         }
     }
 

@@ -7,10 +7,9 @@
 //! indirection cost when a user wants an s-sweep (as the paper's Fig. 9
 //! benchmarks and HyperNetX workflows do).
 
-use super::stats::KernelStats;
-use super::{canonicalize, meets, HyperAdjacency};
+use super::hashmap::{count_overlaps, Counting};
+use super::{finish, meets, HyperAdjacency};
 use crate::{ids, Id};
-use nwhy_util::fxhash::FxHashMap;
 use nwhy_util::partition::{par_for_each_index_with, Strategy};
 
 /// Computes the canonical s-line edge sets for each `s` in `s_values`
@@ -19,72 +18,51 @@ use nwhy_util::partition::{par_for_each_index_with, Strategy};
 ///
 /// # Panics
 /// Panics if any `s` is 0.
+// lint: obs: worker tallies are flushed by the shared `finish` epilogue
 pub fn ensemble<A: HyperAdjacency + ?Sized>(
     h: &A,
     s_values: &[usize],
     strategy: Strategy,
 ) -> Vec<Vec<(Id, Id)>> {
     assert!(s_values.iter().all(|&s| s >= 1), "s must be at least 1");
-    if s_values.is_empty() {
+    let Some(&min_s) = s_values.iter().min() else {
         return Vec::new();
-    }
-    let min_s = *s_values.iter().min().unwrap();
+    };
     let ne = h.num_hyperedges();
-
-    struct Local {
-        buckets: Vec<Vec<(Id, Id)>>,
-        counts: FxHashMap<Id, u32>,
-        stats: KernelStats,
-    }
     let k = s_values.len();
-    let locals = par_for_each_index_with(
-        ne,
-        strategy,
-        || Local {
-            buckets: vec![Vec::new(); k],
-            counts: FxHashMap::default(),
-            stats: KernelStats::default(),
-        },
-        |local, i| {
-            let i = ids::from_usize(i);
-            let nbrs_i = h.edge_neighbors(i);
-            if nbrs_i.len() < min_s {
-                local.stats.pairs_skipped(ne as u64 - 1 - i as u64);
-                return;
-            }
-            local.counts.clear();
-            for &v in nbrs_i.iter() {
-                for &raw in h.node_neighbors(v).iter() {
-                    let j = h.edge_id(raw);
-                    if j > i {
-                        local.stats.hashmap_insertion();
-                        *local.counts.entry(j).or_insert(0) += 1;
-                    }
-                }
-            }
-            local.stats.pairs_examined_n(local.counts.len() as u64);
-            for (&j, &n) in &local.counts {
-                for (bucket, &s) in local.buckets.iter_mut().zip(s_values) {
-                    if meets(n, s) {
-                        bucket.push((i, j));
-                    }
-                }
-            }
-        },
-    );
-
-    let mut stats = KernelStats::default();
-    let mut emitted = 0usize;
-    let mut out: Vec<Vec<(Id, Id)>> = vec![Vec::new(); k];
-    for local in locals {
-        stats.merge(&local.stats);
-        for (dst, src) in out.iter_mut().zip(local.buckets) {
-            emitted += src.len();
-            dst.extend(src);
+    // One output bucket per requested `s`.
+    let new_local = || Counting {
+        out: vec![Vec::new(); k],
+        ..Counting::default()
+    };
+    let locals = par_for_each_index_with(ne, strategy, new_local, |local, i| {
+        let i = ids::from_usize(i);
+        if !count_overlaps(h, i, min_s, &mut local.counts, &mut local.stats) {
+            local.stats.pairs_skipped(ne as u64 - 1 - i as u64);
+            return;
         }
-    }
-    stats.flush(emitted);
-    out.into_iter().map(canonicalize).collect()
+        for (&j, &n) in &local.counts {
+            for (bucket, &s) in local.out.iter_mut().zip(s_values) {
+                if meets(n, s) {
+                    bucket.push((i, j));
+                }
+            }
+        }
+    });
+    // Drain the workers' buckets in `s_values` order. Each worker's
+    // tallies are taken, and so flushed, with the first bucket; every
+    // bucket adds its own emitted edges.
+    let mut workers: Vec<_> = locals
+        .into_iter()
+        .map(|l| (l.out.into_iter(), l.stats))
+        .collect();
+    (0..k)
+        .map(|_| {
+            finish(workers.iter_mut().map(|(buckets, stats)| {
+                (buckets.next().unwrap_or_default(), std::mem::take(stats))
+            }))
+        })
+        .collect()
 }
 
 #[cfg(test)]

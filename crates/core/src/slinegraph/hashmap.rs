@@ -8,62 +8,72 @@
 //! no sorted neighbor access — but pays hashing costs.
 
 use super::stats::KernelStats;
-use super::{canonicalize, meets, HyperAdjacency};
+use super::{finish, meets, HyperAdjacency};
+use crate::ids::Overlap;
 use crate::{ids, Id};
 use nwhy_util::fxhash::FxHashMap;
 use nwhy_util::partition::{par_for_each_index_with, Strategy};
 
-/// Worker-local state: output pairs, a reusable counting map, tallies.
-struct Local {
-    pairs: Vec<(Id, Id)>,
-    counts: FxHashMap<Id, u32>,
-    stats: KernelStats,
+/// Worker-local state of a counting kernel: its output, a reusable
+/// counting map, tallies.
+#[derive(Default)]
+pub(crate) struct Counting<T> {
+    pub out: Vec<T>,
+    pub counts: FxHashMap<Id, Overlap>,
+    pub stats: KernelStats,
+}
+
+/// The counting row every counting kernel runs (hashmap, Algorithm 1,
+/// ensemble, weighted): fills `counts` with `|e_i ∩ e_j|` for every
+/// hyperedge `j > i` reached through `e_i → v → e_j`, one insertion per
+/// co-incidence. Returns `false`, counting nothing, when row `i` has
+/// fewer than `min_s` members and so can meet no threshold.
+#[inline]
+// lint: obs: per-row helper; tallies into the caller's KernelStats
+pub(crate) fn count_overlaps<A: HyperAdjacency + ?Sized>(
+    h: &A,
+    i: Id,
+    min_s: usize,
+    counts: &mut FxHashMap<Id, Overlap>,
+    stats: &mut KernelStats,
+) -> bool {
+    let nbrs_i = h.edge_neighbors(i);
+    if nbrs_i.len() < min_s {
+        return false;
+    }
+    counts.clear();
+    for &v in nbrs_i.iter() {
+        for &raw in h.node_neighbors(v).iter() {
+            let j = h.edge_id(raw);
+            if j > i {
+                stats.hashmap_insertion();
+                *counts.entry(j).or_insert(0) += 1;
+            }
+        }
+    }
+    // Each distinct counted candidate is one examined pair.
+    stats.pairs_examined_n(counts.len() as u64);
+    true
 }
 
 /// Hashmap-counting construction; returns canonical pairs.
+// lint: obs: worker tallies are flushed by the shared `finish` epilogue
 pub fn hashmap<A: HyperAdjacency + ?Sized>(h: &A, s: usize, strategy: Strategy) -> Vec<(Id, Id)> {
     let ne = h.num_hyperedges();
-    let locals = par_for_each_index_with(
-        ne,
-        strategy,
-        || Local {
-            pairs: Vec::new(),
-            counts: FxHashMap::default(),
-            stats: KernelStats::default(),
-        },
-        |local, i| {
-            let i = ids::from_usize(i);
-            let nbrs_i = h.edge_neighbors(i);
-            if nbrs_i.len() < s {
-                local.stats.pairs_skipped(ne as u64 - 1 - i as u64);
-                return;
+    let locals = par_for_each_index_with(ne, strategy, Counting::default, |local, i| {
+        let i = ids::from_usize(i);
+        if !count_overlaps(h, i, s, &mut local.counts, &mut local.stats) {
+            local.stats.pairs_skipped(ne as u64 - 1 - i as u64);
+            return;
+        }
+        for (&j, &n) in &local.counts {
+            if meets(n, s) {
+                // lint: alloc: per-thread output accumulator; push is amortized O(1)
+                local.out.push((i, j));
             }
-            local.counts.clear();
-            for &v in nbrs_i.iter() {
-                for &raw in h.node_neighbors(v).iter() {
-                    let j = h.edge_id(raw);
-                    if j > i {
-                        local.stats.hashmap_insertion();
-                        *local.counts.entry(j).or_insert(0) += 1;
-                    }
-                }
-            }
-            // Each distinct counted candidate is one examined pair.
-            local.stats.pairs_examined_n(local.counts.len() as u64);
-            for (&j, &n) in &local.counts {
-                if meets(n, s) {
-                    // lint: alloc: per-thread output accumulator; push is amortized O(1)
-                    local.pairs.push((i, j));
-                }
-            }
-        },
-    );
-    let pairs: Vec<(Id, Id)> = locals
-        .iter()
-        .flat_map(|l| l.pairs.iter().copied())
-        .collect();
-    KernelStats::flush_all(locals.iter().map(|l| &l.stats), pairs.len());
-    canonicalize(pairs)
+        }
+    });
+    finish(locals.into_iter().map(|l| (l.out, l.stats)))
 }
 
 #[cfg(test)]

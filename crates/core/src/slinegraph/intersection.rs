@@ -20,7 +20,7 @@
 
 use super::overlap::{OverlapEngine, OverlapPolicy};
 use super::stats::KernelStats;
-use super::{canonicalize, HyperAdjacency};
+use super::{finish, HyperAdjacency};
 use crate::{ids, Id};
 use nwhy_util::partition::{par_for_each_index_with, Strategy};
 
@@ -28,8 +28,7 @@ use nwhy_util::partition::{par_for_each_index_with, Strategy};
 /// the overlap engine (row bitset + path rule), and kernel tallies.
 struct Local {
     pairs: Vec<(Id, Id)>,
-    /// `stamp[j] == current_i + 1` ⇒ candidate `j` already intersected
-    /// for the hyperedge currently being expanded.
+    /// The visited stamps of [`for_each_candidate`].
     stamp: Vec<Id>,
     engine: OverlapEngine,
     stats: KernelStats,
@@ -67,6 +66,33 @@ pub fn intersection<A: HyperAdjacency + ?Sized>(
     intersection_with(h, s, strategy, OverlapPolicy::default())
 }
 
+/// The stamp-dedup candidate walk shared by this kernel and Algorithm 2's
+/// phase 1: calls `visit(j)` once for every distinct hyperedge `j > i`
+/// sharing a member with row `i` (`e_i → v → e_j`). `stamp` is the
+/// worker's `|E|`-long visited array; `stamp[j] == i + 1` marks `j` as
+/// already visited for row `i`, so it never needs clearing between rows.
+#[inline]
+// lint: obs: per-row helper; tallies into the caller's KernelStats
+pub(crate) fn for_each_candidate<A: HyperAdjacency + ?Sized>(
+    h: &A,
+    i: Id,
+    row_i: &[Id],
+    stamp: &mut [Id],
+    mut visit: impl FnMut(Id),
+) {
+    let mark = i + 1;
+    for &v in row_i {
+        for &raw in h.node_neighbors(v).iter() {
+            let j = h.edge_id(raw);
+            if j <= i || stamp[ids::to_usize(j)] == mark {
+                continue;
+            }
+            stamp[ids::to_usize(j)] = mark;
+            visit(j);
+        }
+    }
+}
+
 /// Heuristic intersection construction with an explicit overlap policy.
 pub fn intersection_with<A: HyperAdjacency + ?Sized>(
     h: &A,
@@ -97,34 +123,19 @@ pub fn intersection_with<A: HyperAdjacency + ?Sized>(
             // borrowed once and reused by every candidate check below
             let row_i: &[Id] = &nbrs_i;
             local.engine.begin_row(row_i);
-            let mark = i + 1;
-            for &v in row_i {
-                for &raw in h.node_neighbors(v).iter() {
-                    let j = h.edge_id(raw);
-                    if j <= i || local.stamp[ids::to_usize(j)] == mark {
-                        continue;
-                    }
-                    local.stamp[ids::to_usize(j)] = mark;
-                    local.stats.pair_examined();
-                    let nbrs_j = h.edge_neighbors(j);
-                    if nbrs_j.len() < s {
-                        local.stats.pairs_skipped(1);
-                        continue;
-                    }
-                    if local.engine.overlaps(row_i, &nbrs_j, s, &mut local.stats) {
-                        local.pairs.push((i, j));
-                    }
+            for_each_candidate(h, i, row_i, &mut local.stamp, |j| {
+                local.stats.pair_examined();
+                let nbrs_j = h.edge_neighbors(j);
+                if nbrs_j.len() < s {
+                    local.stats.pairs_skipped(1);
+                } else if local.engine.overlaps(row_i, &nbrs_j, s, &mut local.stats) {
+                    local.pairs.push((i, j));
                 }
-            }
+            });
             local.engine.end_row(row_i);
         },
     );
-    let pairs: Vec<(Id, Id)> = locals
-        .iter()
-        .flat_map(|l| l.pairs.iter().copied())
-        .collect();
-    KernelStats::flush_all(locals.iter().map(|l| &l.stats), pairs.len());
-    canonicalize(pairs)
+    finish(locals.into_iter().map(|l| (l.pairs, l.stats)))
 }
 
 #[cfg(test)]

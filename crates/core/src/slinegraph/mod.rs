@@ -1,7 +1,7 @@
 //! s-line graph construction (§III-B.4, §III-C.3).
 //!
 //! The s-line graph `L_s(H)` has the hyperedges of `H` as vertices and an
-//! edge `{e, f}` whenever `|e ∩ f| ≥ s`. Seven construction algorithms are
+//! edge `{e, f}` whenever `|e ∩ f| ≥ s`. Six construction algorithms are
 //! implemented, all producing identical canonical edge sets, plus a
 //! weighted variant that keeps the exact overlap sizes:
 //!
@@ -13,8 +13,14 @@
 //! | [`ensemble`] | all requested `s` in one counting pass | \[18\] |
 //! | [`queue_single`] | **Algorithm 1**: work-queue + hashmap counting | this paper |
 //! | [`queue_two_phase`] | **Algorithm 2**: pair queue + set intersection | this paper |
-//! | [`pair_sort`] | pair enumeration + parallel sort | completeness (memory-heavy alternative) |
 //! | [`weighted`] | hashmap counting, keeping `\|e ∩ f\|` as edge weight | Fig. 5 / s-walk framework |
+//!
+//! The kernels share their per-row work. The counting kernels (hashmap,
+//! Algorithm 1, ensemble, weighted) run one counting row,
+//! `hashmap::count_overlaps`. The heuristic intersection kernel and
+//! Algorithm 2's phase 1 run one stamp-dedup candidate walk,
+//! `intersection::for_each_candidate`. Every kernel ends in one
+//! epilogue, `finish`, which joins, flushes and canonicalizes.
 //!
 //! Every algorithm is generic over [`HyperAdjacency`] — the bipartite
 //! indirection trait defined in [`crate::repr`] — so the same code runs
@@ -36,7 +42,6 @@ pub mod hashmap;
 pub mod intersection;
 pub mod naive;
 pub mod overlap;
-pub mod pair_sort;
 pub mod planner;
 pub mod queue_single;
 pub mod queue_two_phase;
@@ -45,6 +50,7 @@ pub mod weighted;
 
 use crate::Id;
 use nwhy_util::partition::Strategy;
+use stats::KernelStats;
 
 pub use builder::SLineBuilder;
 pub use overlap::{OverlapPath, OverlapPolicy};
@@ -65,19 +71,16 @@ pub enum Algorithm {
     QueueHashmap,
     /// Paper Algorithm 2: two-phase queue + set intersection.
     QueueIntersection,
-    /// Pair-enumeration + parallel sort (memory-heavy alternative).
-    PairSort,
 }
 
 impl Algorithm {
     /// All algorithm variants, for sweeps.
-    pub const ALL: [Algorithm; 6] = [
+    pub const ALL: [Algorithm; 5] = [
         Algorithm::Naive,
         Algorithm::Intersection,
         Algorithm::Hashmap,
         Algorithm::QueueHashmap,
         Algorithm::QueueIntersection,
-        Algorithm::PairSort,
     ];
 
     /// Short display name used in benchmark tables.
@@ -88,7 +91,6 @@ impl Algorithm {
             Algorithm::Hashmap => "hashmap",
             Algorithm::QueueHashmap => "queue-hashmap(alg1)",
             Algorithm::QueueIntersection => "queue-intersection(alg2)",
-            Algorithm::PairSort => "pair-sort",
         }
     }
 
@@ -102,7 +104,6 @@ impl Algorithm {
             Algorithm::Hashmap => "sline.hashmap",
             Algorithm::QueueHashmap => "sline.queue_hashmap",
             Algorithm::QueueIntersection => "sline.queue_intersection",
-            Algorithm::PairSort => "sline.pair_sort",
         }
     }
 }
@@ -139,9 +140,10 @@ impl Default for BuildOptions {
 }
 
 /// Canonicalizes an undirected pair list: orders each pair `(min, max)`,
-/// sorts, and deduplicates. All algorithms funnel through this so their
-/// outputs are directly comparable.
-// lint: obs: sort/dedup epilogue running inside every kernel's span
+/// sorts, and deduplicates, so outputs are directly comparable. The
+/// kernels end in `finish`; this also covers pairs mapped back from a
+/// relabeled ID space, which may come out of order.
+// lint: obs: sort/dedup running inside the builder's span
 pub fn canonicalize(mut pairs: Vec<(Id, Id)>) -> Vec<(Id, Id)> {
     for p in pairs.iter_mut() {
         if p.0 > p.1 {
@@ -151,6 +153,33 @@ pub fn canonicalize(mut pairs: Vec<(Id, Id)>) -> Vec<(Id, Id)> {
     pairs.sort_unstable();
     pairs.dedup();
     pairs
+}
+
+/// The epilogue every kernel ends in: joins the worker-local outputs,
+/// flushes the merged tallies with the pre-canonical output count, then
+/// sorts and dedups. Kernels emit each pair as `(i, j)` with `i < j`, so
+/// for pairs this is [`canonicalize`]; weighted triples sort the same way.
+pub(crate) fn finish<T: Ord>(parts: impl IntoIterator<Item = (Vec<T>, KernelStats)>) -> Vec<T> {
+    let (mut out, stats) = join(parts);
+    stats.flush(out.len());
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
+/// Concatenates worker-local outputs into one exactly sized `Vec` and
+/// merges their tallies, without flushing them.
+pub(crate) fn join<T>(
+    parts: impl IntoIterator<Item = (Vec<T>, KernelStats)>,
+) -> (Vec<T>, KernelStats) {
+    let parts: Vec<(Vec<T>, KernelStats)> = parts.into_iter().collect();
+    let mut stats = KernelStats::default();
+    let mut out = Vec::with_capacity(parts.iter().map(|(items, _)| items.len()).sum());
+    for (items, local) in parts {
+        stats.merge(&local);
+        out.extend(items);
+    }
+    (out, stats)
 }
 
 /// `true` when an overlap count `n` meets the threshold `s` — the one
@@ -277,8 +306,7 @@ mod tests {
             let h = Hypergraph::from_memberships(&ms);
             let reference = build(&h, s, Algorithm::Naive);
             for algo in [Algorithm::Intersection, Algorithm::Hashmap,
-                         Algorithm::QueueHashmap, Algorithm::QueueIntersection,
-                         Algorithm::PairSort] {
+                         Algorithm::QueueHashmap, Algorithm::QueueIntersection] {
                 let got = build(&h, s, algo);
                 prop_assert_eq!(&got, &reference, "{}", algo.name());
             }

@@ -7,7 +7,7 @@
 //! lists first.
 
 use super::stats::KernelStats;
-use super::{canonicalize, HyperAdjacency};
+use super::{finish, HyperAdjacency};
 use crate::{ids, Id};
 use nwhy_util::partition::{par_for_each_index_with, Strategy};
 
@@ -19,6 +19,7 @@ struct Local {
 }
 
 /// All-pairs construction; returns canonical pairs.
+// lint: obs: worker tallies are flushed by the shared `finish` epilogue
 pub fn naive<A: HyperAdjacency + ?Sized>(h: &A, s: usize, strategy: Strategy) -> Vec<(Id, Id)> {
     let ne = h.num_hyperedges();
     let locals = par_for_each_index_with(ne, strategy, Local::default, |local: &mut Local, i| {
@@ -41,12 +42,7 @@ pub fn naive<A: HyperAdjacency + ?Sized>(h: &A, s: usize, strategy: Strategy) ->
             }
         }
     });
-    let pairs: Vec<(Id, Id)> = locals
-        .iter()
-        .flat_map(|l| l.pairs.iter().copied())
-        .collect();
-    KernelStats::flush_all(locals.iter().map(|l| &l.stats), pairs.len());
-    canonicalize(pairs)
+    finish(locals.into_iter().map(|l| (l.pairs, l.stats)))
 }
 
 #[cfg(test)]

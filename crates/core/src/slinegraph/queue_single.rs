@@ -13,11 +13,10 @@
 //! Enqueuing is linear in the number of hyperedges, so the asymptotic
 //! complexity matches the non-queue hashmap algorithm.
 
-use super::stats::KernelStats;
-use super::{canonicalize, meets, HyperAdjacency};
+use super::hashmap::{count_overlaps, Counting};
+use super::{finish, meets, HyperAdjacency};
 use crate::Id;
 use nwhy_obs::Counter;
-use nwhy_util::fxhash::FxHashMap;
 use nwhy_util::partition::{par_for_each_index_with, Strategy};
 
 /// Algorithm 1. `queue` holds the hyperedge IDs to process (any order,
@@ -28,118 +27,25 @@ pub fn queue_hashmap<H: HyperAdjacency + ?Sized>(
     s: usize,
     strategy: Strategy,
 ) -> Vec<(Id, Id)> {
-    struct Local {
-        pairs: Vec<(Id, Id)>,
-        counts: FxHashMap<Id, u32>,
-        stats: KernelStats,
-    }
     // Drain the queue in parallel; queue slots (not raw IDs) are the
     // iteration space, so permuted/relabeled IDs cost nothing extra.
-    let locals = par_for_each_index_with(
-        queue.len(),
-        strategy,
-        || Local {
-            pairs: Vec::new(),
-            counts: FxHashMap::default(),
-            stats: KernelStats::default(),
-        },
-        |local, slot| {
+    let locals =
+        par_for_each_index_with(queue.len(), strategy, Counting::default, |local, slot| {
             let i = queue[slot];
-            let nbrs_i = h.edge_neighbors(i);
-            if nbrs_i.len() < s {
-                return; // Alg. 1 line 6–7
+            // Alg. 1 lines 6–11
+            if !count_overlaps(h, i, s, &mut local.counts, &mut local.stats) {
+                return;
             }
-            local.counts.clear();
-            for &v in nbrs_i.iter() {
-                // Alg. 1 lines 9–11
-                for &raw in h.node_neighbors(v).iter() {
-                    let j = h.edge_id(raw);
-                    if j > i {
-                        local.stats.hashmap_insertion();
-                        *local.counts.entry(j).or_insert(0) += 1;
-                    }
-                }
-            }
-            local.stats.pairs_examined_n(local.counts.len() as u64);
             // Alg. 1 lines 12–14
             for (&j, &n) in &local.counts {
                 if meets(n, s) {
                     // lint: alloc: per-thread output accumulator; push is amortized O(1)
-                    local.pairs.push((i, j));
+                    local.out.push((i, j));
                 }
             }
-        },
-    );
-    let pairs: Vec<(Id, Id)> = locals
-        .iter()
-        .flat_map(|l| l.pairs.iter().copied())
-        .collect();
+        });
     nwhy_obs::add(Counter::SlineQueuePushes, queue.len() as u64);
-    KernelStats::flush_all(locals.iter().map(|l| &l.stats), pairs.len());
-    canonicalize(pairs)
-}
-
-/// Algorithm 1 with *dynamic* self-scheduling: instead of a static
-/// blocked/cyclic split of the queue, workers repeatedly steal fixed-size
-/// chunks from a shared atomic cursor ([`nwhy_util::workq::ChunkedQueue`]).
-/// Finishing the skew story: a worker that drew only cheap hyperedges
-/// keeps pulling work instead of idling.
-pub fn queue_hashmap_dynamic<H: HyperAdjacency + ?Sized>(
-    h: &H,
-    queue: &[Id],
-    s: usize,
-) -> Vec<(Id, Id)> {
-    use nwhy_util::workq::ChunkedQueue;
-    struct Local {
-        pairs: Vec<(Id, Id)>,
-        counts: FxHashMap<Id, u32>,
-        stats: KernelStats,
-    }
-    let workers = rayon::current_num_threads().max(1);
-    let q = ChunkedQueue::with_auto_chunk(queue, workers);
-    let locals = q.drain_with(
-        workers,
-        || Local {
-            pairs: Vec::new(),
-            counts: FxHashMap::default(),
-            stats: KernelStats::default(),
-        },
-        |local, &i| {
-            let nbrs_i = h.edge_neighbors(i);
-            if nbrs_i.len() < s {
-                return;
-            }
-            local.counts.clear();
-            for &v in nbrs_i.iter() {
-                for &raw in h.node_neighbors(v).iter() {
-                    let j = h.edge_id(raw);
-                    if j > i {
-                        local.stats.hashmap_insertion();
-                        *local.counts.entry(j).or_insert(0) += 1;
-                    }
-                }
-            }
-            local.stats.pairs_examined_n(local.counts.len() as u64);
-            for (&j, &n) in &local.counts {
-                if meets(n, s) {
-                    // lint: alloc: per-thread output accumulator; push is amortized O(1)
-                    local.pairs.push((i, j));
-                }
-            }
-        },
-    );
-    let pairs: Vec<(Id, Id)> = locals
-        .iter()
-        .flat_map(|l| l.pairs.iter().copied())
-        .collect();
-    nwhy_obs::add(Counter::SlineQueuePushes, queue.len() as u64);
-    // A full drain claims exactly ceil(len / chunk) chunks.
-    nwhy_obs::add(
-        Counter::SlineQueueSteals,
-        queue.len().div_ceil(q.chunk_size()) as u64,
-    );
-    KernelStats::flush_all(locals.iter().map(|l| &l.stats), pairs.len());
-    canonicalize(pairs)
+    finish(locals.into_iter().map(|l| (l.out, l.stats)))
 }
 
 #[cfg(test)]
@@ -202,25 +108,6 @@ mod tests {
     fn empty_queue_gives_empty_graph() {
         let h = paper_hypergraph();
         assert!(queue_hashmap(&h, &[], 1, Strategy::AUTO).is_empty());
-    }
-
-    #[test]
-    fn dynamic_variant_matches_static() {
-        let h = paper_hypergraph();
-        let queue: Vec<Id> = (0..4).collect();
-        for s in 1..=4 {
-            assert_eq!(
-                queue_hashmap_dynamic(&h, &queue, s),
-                queue_hashmap(&h, &queue, s, Strategy::AUTO),
-                "s={s}"
-            );
-        }
-        // and on the adjoin representation
-        let a = AdjoinGraph::from_hypergraph(&h);
-        assert_eq!(
-            queue_hashmap_dynamic(&a, &queue, 2),
-            paper_slinegraph_edges(2)
-        );
     }
 
     #[test]

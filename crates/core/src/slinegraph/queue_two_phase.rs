@@ -18,10 +18,11 @@
 //! intersected exactly once (a pair enqueued `k` times would otherwise be
 //! intersected `k` times and emitted as a duplicate edge).
 
+use super::intersection::for_each_candidate;
 use super::overlap::{OverlapEngine, OverlapPolicy};
 use super::stats::KernelStats;
-use super::{canonicalize, HyperAdjacency};
-use crate::{ids, Id};
+use super::{finish, join, HyperAdjacency};
+use crate::Id;
 use nwhy_util::partition::{par_for_each_index_with, Strategy};
 use rayon::prelude::*;
 
@@ -44,51 +45,8 @@ pub fn queue_intersection_with<'h, H: HyperAdjacency + ?Sized>(
     strategy: Strategy,
     policy: OverlapPolicy,
 ) -> Vec<(Id, Id)> {
-    let ne = h.num_hyperedges();
-
     // ---- Phase 1: build the pair queue (Alg. 2 lines 1–6). ----
-    struct Local {
-        pairs: Vec<(Id, Id)>,
-        stamp: Vec<Id>,
-        stats: KernelStats,
-    }
-    let locals = par_for_each_index_with(
-        queue.len(),
-        strategy,
-        || Local {
-            pairs: Vec::new(),
-            stamp: vec![0; ne],
-            stats: KernelStats::default(),
-        },
-        |local, slot| {
-            let i = queue[slot];
-            let nbrs_i = h.edge_neighbors(i);
-            if nbrs_i.len() < s {
-                return;
-            }
-            let mark = i + 1;
-            for &v in nbrs_i.iter() {
-                for &raw in h.node_neighbors(v).iter() {
-                    let j = h.edge_id(raw);
-                    if j <= i || local.stamp[ids::to_usize(j)] == mark {
-                        continue;
-                    }
-                    local.stamp[ids::to_usize(j)] = mark;
-                    if h.edge_degree(j) >= s {
-                        // lint: alloc: per-thread output accumulator; push is amortized O(1)
-                        local.pairs.push((i, j));
-                    } else {
-                        local.stats.pairs_skipped(1);
-                    }
-                }
-            }
-        },
-    );
-    let mut phase1 = KernelStats::default();
-    for l in &locals {
-        phase1.merge(&l.stats);
-    }
-    let pair_queue: Vec<(Id, Id)> = locals.into_iter().flat_map(|l| l.pairs).collect();
+    let (pair_queue, mut phase1) = phase_one(h, queue, s, strategy);
     // Hyperedge IDs enqueued up front plus candidate pairs enqueued by
     // phase 1.
     phase1.queue_pushed(queue.len() as u64 + pair_queue.len() as u64);
@@ -108,14 +66,14 @@ pub fn queue_intersection_with<'h, H: HyperAdjacency + ?Sized>(
         engine: OverlapEngine,
         row: Option<(Id, H::Neighbors<'h>)>,
     }
-    let universe = ne + h.num_hypernodes();
+    let universe = h.num_hyperedges() + h.num_hypernodes();
     let new_chain = || Chain::<'h, H> {
         acc: Vec::new(),
         stats: KernelStats::default(),
         engine: OverlapEngine::new(policy, universe),
         row: None,
     };
-    let (survivors, phase2) = pair_queue
+    let chains: Vec<(Vec<(Id, Id)>, KernelStats)> = pair_queue
         .par_iter()
         .fold(new_chain, |mut chain: Chain<'h, H>, &(i, j)| {
             if chain.row.as_ref().map(|(ri, _)| *ri) != Some(i) {
@@ -137,17 +95,52 @@ pub fn queue_intersection_with<'h, H: HyperAdjacency + ?Sized>(
             chain
         })
         .map(|chain| (chain.acc, chain.stats))
-        .reduce(
-            || (Vec::new(), KernelStats::default()),
-            |(mut a, mut sa), (mut b, sb)| {
-                a.append(&mut b);
-                sa.merge(&sb);
-                (a, sa)
-            },
-        );
-    phase1.merge(&phase2);
-    phase1.flush(survivors.len());
-    canonicalize(survivors)
+        .collect();
+    // Free the candidate queue before the epilogue copies the survivors.
+    drop(pair_queue);
+    finish(chains.into_iter().chain([(Vec::new(), phase1)]))
+}
+
+/// Phase 1 proper: the candidate walk over every queued row, keeping the
+/// pairs whose second hyperedge can still reach `s`; returns the pair
+/// queue and the phase's tallies (unflushed).
+fn phase_one<H: HyperAdjacency + ?Sized>(
+    h: &H,
+    queue: &[Id],
+    s: usize,
+    strategy: Strategy,
+) -> (Vec<(Id, Id)>, KernelStats) {
+    struct Local {
+        pairs: Vec<(Id, Id)>,
+        stamp: Vec<Id>,
+        stats: KernelStats,
+    }
+    let ne = h.num_hyperedges();
+    let locals = par_for_each_index_with(
+        queue.len(),
+        strategy,
+        || Local {
+            pairs: Vec::new(),
+            stamp: vec![0; ne],
+            stats: KernelStats::default(),
+        },
+        |local, slot| {
+            let i = queue[slot];
+            let nbrs_i = h.edge_neighbors(i);
+            if nbrs_i.len() < s {
+                return;
+            }
+            for_each_candidate(h, i, &nbrs_i, &mut local.stamp, |j| {
+                if h.edge_degree(j) >= s {
+                    // lint: alloc: per-thread output accumulator; push is amortized O(1)
+                    local.pairs.push((i, j));
+                } else {
+                    local.stats.pairs_skipped(1);
+                }
+            });
+        },
+    );
+    join(locals.into_iter().map(|l| (l.pairs, l.stats)))
 }
 
 /// Phase-1-only variant: returns the candidate pair queue without the
@@ -160,40 +153,7 @@ pub fn candidate_pairs<H: HyperAdjacency + ?Sized>(
     s: usize,
     strategy: Strategy,
 ) -> Vec<(Id, Id)> {
-    let ne = h.num_hyperedges();
-    struct Local {
-        pairs: Vec<(Id, Id)>,
-        stamp: Vec<Id>,
-    }
-    let locals = par_for_each_index_with(
-        queue.len(),
-        strategy,
-        || Local {
-            pairs: Vec::new(),
-            stamp: vec![0; ne],
-        },
-        |local, slot| {
-            let i = queue[slot];
-            let nbrs_i = h.edge_neighbors(i);
-            if nbrs_i.len() < s {
-                return;
-            }
-            let mark = i + 1;
-            for &v in nbrs_i.iter() {
-                for &raw in h.node_neighbors(v).iter() {
-                    let j = h.edge_id(raw);
-                    if j <= i || local.stamp[ids::to_usize(j)] == mark {
-                        continue;
-                    }
-                    local.stamp[ids::to_usize(j)] = mark;
-                    if h.edge_degree(j) >= s {
-                        local.pairs.push((i, j));
-                    }
-                }
-            }
-        },
-    );
-    locals.into_iter().flat_map(|l| l.pairs).collect()
+    phase_one(h, queue, s, strategy).0
 }
 
 #[cfg(test)]
@@ -220,7 +180,7 @@ mod tests {
     fn runs_directly_on_adjoin_graph() {
         let h = paper_hypergraph();
         let a = AdjoinGraph::from_hypergraph(&h);
-        let queue: Vec<Id> = (0..ids::from_usize(a.num_hyperedges())).collect();
+        let queue: Vec<Id> = (0..crate::ids::from_usize(a.num_hyperedges())).collect();
         for s in 1..=4 {
             assert_eq!(
                 queue_intersection(&a, &queue, s, Strategy::AUTO),

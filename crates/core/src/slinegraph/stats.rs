@@ -168,16 +168,4 @@ impl KernelStats {
         nwhy_obs::add(Counter::OverlapPathGallop, self.overlap_gallop);
         nwhy_obs::add(Counter::OverlapPathBitset, self.overlap_bitset);
     }
-
-    /// Merges and flushes a collection of worker tallies in one go.
-    pub fn flush_all<'a>(locals: impl IntoIterator<Item = &'a KernelStats>, edges_emitted: usize) {
-        if !nwhy_obs::enabled() {
-            return;
-        }
-        let mut total = KernelStats::default();
-        for l in locals {
-            total.merge(l);
-        }
-        total.flush(edges_emitted);
-    }
 }

@@ -7,15 +7,15 @@
 //! instead of discarding them after thresholding, so the cost matches the
 //! unweighted build.
 
-use super::stats::KernelStats;
-use super::{meets, HyperAdjacency};
+use super::hashmap::{count_overlaps, Counting};
+use super::{finish, meets, HyperAdjacency};
 use crate::ids::Overlap;
 use crate::{ids, Id};
-use nwhy_util::fxhash::FxHashMap;
 use nwhy_util::partition::{par_for_each_index_with, Strategy};
 
 /// Canonical weighted pair list: `(e, f, |e ∩ f|)` with `e < f`, sorted,
 /// overlap ≥ s.
+// lint: obs: worker tallies are flushed by the shared `finish` epilogue
 pub fn slinegraph_weighted_edges<A: HyperAdjacency + ?Sized>(
     h: &A,
     s: usize,
@@ -23,52 +23,19 @@ pub fn slinegraph_weighted_edges<A: HyperAdjacency + ?Sized>(
 ) -> Vec<(Id, Id, Overlap)> {
     assert!(s >= 1, "s must be at least 1");
     let ne = h.num_hyperedges();
-    struct Local {
-        triples: Vec<(Id, Id, Overlap)>,
-        counts: FxHashMap<Id, Overlap>,
-        stats: KernelStats,
-    }
-    let locals = par_for_each_index_with(
-        ne,
-        strategy,
-        || Local {
-            triples: Vec::new(),
-            counts: FxHashMap::default(),
-            stats: KernelStats::default(),
-        },
-        |local, i| {
-            let i = ids::from_usize(i);
-            let nbrs_i = h.edge_neighbors(i);
-            if nbrs_i.len() < s {
-                local.stats.pairs_skipped(ne as u64 - 1 - i as u64);
-                return;
+    let locals = par_for_each_index_with(ne, strategy, Counting::default, |local, i| {
+        let i = ids::from_usize(i);
+        if !count_overlaps(h, i, s, &mut local.counts, &mut local.stats) {
+            local.stats.pairs_skipped(ne as u64 - 1 - i as u64);
+            return;
+        }
+        for (&j, &n) in &local.counts {
+            if meets(n, s) {
+                local.out.push((i, j, n));
             }
-            local.counts.clear();
-            for &v in nbrs_i.iter() {
-                for &raw in h.node_neighbors(v).iter() {
-                    let j = h.edge_id(raw);
-                    if j > i {
-                        local.stats.hashmap_insertion();
-                        *local.counts.entry(j).or_insert(0) += 1;
-                    }
-                }
-            }
-            local.stats.pairs_examined_n(local.counts.len() as u64);
-            for (&j, &n) in &local.counts {
-                if meets(n, s) {
-                    local.triples.push((i, j, n));
-                }
-            }
-        },
-    );
-    let mut triples: Vec<(Id, Id, Overlap)> = locals
-        .iter()
-        .flat_map(|l| l.triples.iter().copied())
-        .collect();
-    KernelStats::flush_all(locals.iter().map(|l| &l.stats), triples.len());
-    triples.sort_unstable();
-    triples.dedup();
-    triples
+        }
+    });
+    finish(locals.into_iter().map(|l| (l.out, l.stats)))
 }
 
 /// Assembles the symmetric weighted CSR (edge weight `1 / overlap`) from
@@ -91,46 +58,12 @@ pub(crate) fn weighted_csr_from_triples(
     nwgraph::Csr::from_edge_list(&el)
 }
 
-/// Builds the symmetric weighted CSR over hyperedge IDs, with edge weight
-/// `1 / |e ∩ f|` — stronger overlaps are "shorter", so weighted s-walk
-/// distances prefer strong connections.
-pub fn slinegraph_weighted_csr<A: HyperAdjacency + ?Sized>(
-    h: &A,
-    s: usize,
-    strategy: Strategy,
-) -> nwgraph::Csr {
-    let triples = slinegraph_weighted_edges(h, s, strategy);
-    weighted_csr_from_triples(h.num_hyperedges(), &triples)
-}
-
-/// Canonical Jaccard-weighted pairs: `(e, f, |e∩f| / |e∪f|)` for pairs
-/// with overlap ≥ s. The normalized similarity HyperNetX-style workflows
-/// use when raw overlap sizes are biased by hyperedge size.
-pub fn slinegraph_jaccard_edges<A: HyperAdjacency + ?Sized>(
-    h: &A,
-    s: usize,
-    strategy: Strategy,
-) -> Vec<(Id, Id, f64)> {
-    slinegraph_weighted_edges(h, s, strategy)
-        .into_iter()
-        .map(|(a, b, o)| {
-            // lint: Overlap is a count, not an ID — widen it for the union size
-            let union = h.edge_degree(a) + h.edge_degree(b) - o as usize;
-            let j = if union == 0 {
-                0.0
-            } else {
-                o as f64 / union as f64
-            };
-            (a, b, j)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fixtures::{paper_hypergraph, paper_slinegraph_edges};
     use crate::hypergraph::Hypergraph;
+    use crate::SLineBuilder;
 
     #[test]
     fn weights_are_exact_overlaps() {
@@ -157,7 +90,7 @@ mod tests {
     #[test]
     fn weighted_csr_inverts_overlap() {
         let h = paper_hypergraph();
-        let g = slinegraph_weighted_csr(&h, 1, Strategy::AUTO);
+        let g = SLineBuilder::new(&h).s(1).weighted_csr();
         assert!(g.is_weighted());
         // edge {0,3} has overlap 3 → weight 1/3
         let w = g
@@ -185,21 +118,21 @@ mod tests {
     #[test]
     fn jaccard_values_are_exact() {
         let h = paper_hypergraph();
-        let j = slinegraph_jaccard_edges(&h, 1, Strategy::AUTO);
+        let j = SLineBuilder::new(&h).s(1).jaccard_edges();
         // |e0|=4, |e1|=4, overlap 1 → 1/7; |e0|=4, |e3|=5, overlap 3 → 3/6
         let find = |a: u32, b: u32| j.iter().find(|&&(x, y, _)| (x, y) == (a, b)).unwrap().2;
         assert!((find(0, 1) - 1.0 / 7.0).abs() < 1e-12);
         assert!((find(0, 3) - 0.5).abs() < 1e-12);
         // identical edges would give 1.0
         let dup = Hypergraph::from_memberships(&[vec![0, 1], vec![0, 1]]);
-        let j = slinegraph_jaccard_edges(&dup, 1, Strategy::AUTO);
+        let j = SLineBuilder::new(&dup).s(1).jaccard_edges();
         assert_eq!(j, vec![(0, 1, 1.0)]);
     }
 
     #[test]
     fn jaccard_in_unit_interval() {
         let h = paper_hypergraph();
-        for (_, _, j) in slinegraph_jaccard_edges(&h, 1, Strategy::AUTO) {
+        for (_, _, j) in SLineBuilder::new(&h).s(1).jaccard_edges() {
             assert!((0.0..=1.0).contains(&j));
         }
     }

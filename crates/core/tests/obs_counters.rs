@@ -162,8 +162,8 @@ fn forced_paths_route_every_pair() {
 
 /// `auto()` records exactly one planner decision per build, and the
 /// planner's candidate-work feature `W = Σ_v C(d_v, 2)` equals the
-/// hashmap kernel's insertion counter at s = 1 — the calibration
-/// identity the cost model's doc claims.
+/// insertion counter of every counting kernel at s = 1 — the
+/// calibration identity the cost model's doc claims.
 #[test]
 fn planner_counter_and_calibration_identity() {
     isolated(|| {
@@ -176,19 +176,41 @@ fn planner_counter_and_calibration_identity() {
             .edges();
         assert_eq!(auto_edges, fixed, "planner choice must not change results");
     });
-    isolated(|| {
-        let h = paper_hypergraph();
-        let f = nwhy_core::slinegraph::planner::measure(&h, 1);
-        let _ = SLineBuilder::new(&h)
-            .s(1)
-            .algorithm(Algorithm::Hashmap)
-            .edges();
-        assert_eq!(
-            nwhy_obs::counter_value(Counter::SlineHashmapInsertions) as f64,
-            f.candidate_work,
-            "W feature must equal measured hashmap insertions at s=1"
-        );
-    });
+    // Every caller of the shared counting row inserts exactly W times at
+    // s = 1, so a row that drops or double-counts an insertion fails all
+    // four.
+    let h = paper_hypergraph();
+    let w = nwhy_core::slinegraph::planner::measure(&h, 1).candidate_work;
+    let callers: [(&str, &dyn Fn()); 4] = [
+        ("hashmap", &|| {
+            let _ = SLineBuilder::new(&h)
+                .s(1)
+                .algorithm(Algorithm::Hashmap)
+                .edges();
+        }),
+        ("queue-hashmap", &|| {
+            let _ = SLineBuilder::new(&h)
+                .s(1)
+                .algorithm(Algorithm::QueueHashmap)
+                .edges();
+        }),
+        ("weighted", &|| {
+            let _ = SLineBuilder::new(&h).s(1).weighted_edges();
+        }),
+        ("ensemble", &|| {
+            let _ = SLineBuilder::new(&h).ensemble_edges(&[1]);
+        }),
+    ];
+    for (name, build) in callers {
+        isolated(|| {
+            build();
+            assert_eq!(
+                nwhy_obs::counter_value(Counter::SlineHashmapInsertions) as f64,
+                w,
+                "{name}: W feature must equal measured hashmap insertions at s=1"
+            );
+        });
+    }
 }
 
 /// The two-phase queue kernels push work items; their queue counters

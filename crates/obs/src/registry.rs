@@ -163,7 +163,7 @@ pub(crate) fn shard_index() -> usize {
 pub(crate) fn add(counter: Counter, n: u64) {
     let shard = shard_index();
     registry().counters[counter.index()].add_to_shard(shard, n);
-    // lint: counter indices are tiny (Counter::ALL is a fixed 22-entry enum)
+    // lint: counter indices are tiny (Counter::ALL is a fixed 21-entry enum)
     #[allow(clippy::cast_possible_truncation)]
     crate::flight::record(
         FlightKind::CounterDelta,

@@ -8,8 +8,7 @@
 //! # Ordering policy
 //!
 //! Every CAS loop in this module uses the same ordering triple, and the
-//! rest of the crate ([`crate::bitmap`], [`crate::workq`]) aligns with
-//! it:
+//! rest of the crate ([`crate::bitmap`]) aligns with it:
 //!
 //! - **`Relaxed` initial load.** The first read only seeds the CAS
 //!   loop; a stale value costs at most one extra CAS iteration and can

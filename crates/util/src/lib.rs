@@ -21,8 +21,6 @@
 //! - [`sync`] — the `cfg(loom)` switch point: the concurrency primitives
 //!   import their atomic types from here so the loom model checker can
 //!   replace them under `RUSTFLAGS="--cfg loom"` (see `tests/loom.rs`).
-//! - [`workq`] — a chunked self-scheduling work queue (guided-dynamic
-//!   style) for the queue-based s-line-graph algorithms.
 //!
 //! The whole workspace forbids `unsafe`; the lock-free pieces here are
 //! checked by loom models (`tests/loom.rs`), Miri, and a nightly
@@ -39,7 +37,6 @@ pub mod pool;
 pub mod prefix;
 pub mod sync;
 pub mod timer;
-pub mod workq;
 
 pub use atomics::{atomic_max_u32, atomic_min_u32, atomic_min_usize, AtomicF64};
 pub use bitmap::AtomicBitmap;
@@ -48,4 +45,3 @@ pub use partition::{blocked_ranges, cyclic_indices, CyclicRange};
 pub use pool::with_threads;
 pub use prefix::{exclusive_prefix_sum, exclusive_prefix_sum_in_place};
 pub use timer::{median, Stats, Timer};
-pub use workq::ChunkedQueue;

@@ -1,11 +1,9 @@
 //! Integration tests for the extension surface: weighted s-line graphs,
 //! (k, ℓ)-cores, hypergraph transformations, rectangular matrix ops,
-//! DOT export, and the dynamic work queue — all running together on
-//! generated data.
+//! and DOT export — all running together on generated data.
 
 use nwhy::core::algorithms::kcore::{kl_core, validate_kl_core};
 use nwhy::core::ops::{diffusion_step, dominant_singular, incidence_checksum};
-use nwhy::core::slinegraph::queue_single::{queue_hashmap, queue_hashmap_dynamic};
 use nwhy::core::slinegraph::weighted::slinegraph_weighted_edges;
 use nwhy::core::transform::{
     collapse_duplicate_edges, induced_subhypergraph, restrict_to_toplexes,
@@ -25,21 +23,6 @@ fn weighted_linegraph_agrees_with_unweighted_on_twins() {
         for (&(a, b), &(wa, wb, o)) in unweighted.iter().zip(&weighted) {
             assert_eq!((a, b), (wa, wb));
             assert!(o as usize >= s);
-        }
-    }
-}
-
-#[test]
-fn dynamic_queue_matches_static_on_twins() {
-    for name in ["Orkut-group", "Rand1"] {
-        let h = profile_by_name(name).unwrap().generate(100_000, 5);
-        let queue: Vec<u32> = (0..nwhy::core::ids::from_usize(h.num_hyperedges())).collect();
-        for s in [1usize, 2] {
-            assert_eq!(
-                queue_hashmap_dynamic(&h, &queue, s),
-                queue_hashmap(&h, &queue, s, Strategy::AUTO),
-                "{name} s={s}"
-            );
         }
     }
 }

@@ -15,7 +15,7 @@
 //!   (`Vec::new`, `with_capacity(0)`, `push` on a locally-grown vec,
 //!   `collect`, `to_vec`, `to_owned`, `format!`, `vec!`, `Box::new`,
 //!   `clone`) inside loop bodies of functions reachable from the
-//!   seven s-line kernels and the hygra traversal drivers
+//!   s-line kernels and the hygra traversal drivers
 //!   ([`HOT_ROOTS`]). Escape: `// lint: alloc: <why>` on the site or
 //!   the comment block above.
 //! - **`ordering-policy`** — every `Ordering::*` token in production
@@ -54,19 +54,18 @@ pub const ORDERING_POLICY_FILE: &str = "xtask/ordering_policy.txt";
 /// The namespaced audit marker for `alloc-in-hot-loop` escapes.
 pub const ALLOC_MARKER: &str = "// lint: alloc";
 
-/// The hot-loop roots: the seven s-line kernels (plus their queue/
-/// dynamic variants) and the hygra traversal drivers. Reachability from
-/// these defines the "hot set" the allocation rule patrols.
-pub const HOT_ROOTS: [&str; 14] = [
+/// The hot-loop roots: the s-line kernels (plus the weighted counting
+/// kernel) and the hygra traversal drivers. Reachability from these
+/// defines the "hot set" the allocation rule patrols.
+pub const HOT_ROOTS: [&str; 13] = [
     "slinegraph::naive::naive",
     "slinegraph::hashmap::hashmap",
     "slinegraph::intersection::intersection",
     "slinegraph::intersection::intersection_with",
-    "slinegraph::pair_sort::pair_sort",
     "slinegraph::queue_single::queue_hashmap",
-    "slinegraph::queue_single::queue_hashmap_dynamic",
     "slinegraph::queue_two_phase::queue_intersection",
     "slinegraph::ensemble::ensemble",
+    "slinegraph::weighted::slinegraph_weighted_edges",
     "hygra::bfs::hygra_bfs",
     "hygra::bfs::hygra_bfs_with_mode",
     "hygra::cc::hygra_cc",
